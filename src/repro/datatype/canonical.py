@@ -40,15 +40,18 @@ them during :meth:`~repro.datatype.ddt.Datatype.commit`, and
   identically to their base, and for ``count > 1`` the extent enters the
   form only through the tiled span layout it actually produces.
 
-Forms and keys are cached per ``(datatype, count)`` on the datatype
-object; irregular layouts are keyed by a digest of their span arrays
-(BLAKE2b over the little-endian int64 bytes), which is deterministic
-across processes and platforms — unlike ``hash()``/``id()``.
+Everything above depends on the layout alone, so it is compiled once per
+``(datatype, count)`` into a :class:`StreamPlan` (:func:`stream_plan`)
+cached on the datatype object; pack jobs and convertors only bind a plan
+to a buffer.  Irregular layouts are keyed by a digest of their span
+arrays (BLAKE2b over the little-endian int64 bytes), which is
+deterministic across processes and platforms — unlike ``hash()``/``id()``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +62,8 @@ from repro.datatype.typemap import Spans
 
 __all__ = [
     "CanonicalForm",
+    "StreamPlan",
+    "stream_plan",
     "canonicalize",
     "canonical_key",
     "display_id",
@@ -185,19 +190,99 @@ def _classify(spans: Spans) -> CanonicalForm:
     )
 
 
-def canonicalize(dt: Datatype, count: int = 1) -> CanonicalForm:
-    """Normal form of ``count`` elements of a committed datatype.
+def _spans_to_indices(spans: Spans, unit: int) -> np.ndarray:
+    """Expand byte spans into per-element user offsets (in units)."""
+    if spans.count == 0:
+        return np.empty(0, dtype=np.int64)
+    counts = spans.lens // unit
+    starts = spans.disps // unit
+    total = int(counts.sum())
+    # idx = repeat(starts) + intra-span ramp
+    idx = np.repeat(starts, counts)
+    ramp = np.arange(total, dtype=np.int64)
+    span_first = np.repeat(np.cumsum(counts) - counts, counts)
+    idx += ramp - span_first
+    return idx
 
-    Cached per ``count`` on the datatype object — computing it costs one
-    tiled-span walk the first time and a dict lookup after.
+
+class StreamPlan:
+    """Everything about ``count`` elements of a datatype that depends only
+    on the layout, compiled once and shared by every later message.
+
+    The moral equivalent of the paper's cached CUDA_DEV description: it
+    never looks at a buffer address, so a convertor or pack job only has
+    to bind it to a buffer.  Built by :func:`stream_plan`; treat it as
+    immutable (the gather map is filled in on first use).
     """
-    dt.commit()
-    cached = dt._canon_cache.get(count)
-    if cached is not None:
-        return cached
-    form = _classify(dt.spans_for_count(count))
-    dt._canon_cache[count] = form
-    return form
+
+    __slots__ = (
+        "count",
+        "spans",
+        "unit",
+        "true_lb",
+        "true_ub",
+        "form",
+        "vector_shape",
+        "cpu_plan",
+        "gpu_plan",
+        "_gather",
+    )
+
+    def __init__(self, dt: Datatype, count: int) -> None:
+        spans = dt.spans_for_count(count)
+        unit = dt.granularity()
+        if count > 1:
+            # element k lives at k * extent, so the unit must divide the
+            # extent too (a resized type may have any byte extent)
+            unit = math.gcd(unit, abs(dt.extent)) or 1
+        form = _classify(spans)
+        self.count = count
+        #: the tiled, coalesced pack-order spans of the whole stream
+        self.spans = spans
+        #: byte granularity of the packed stream
+        self.unit = unit
+        self.true_lb = spans.true_lb
+        self.true_ub = spans.true_ub
+        self.form = form
+        self.vector_shape = form.vector_shape
+        #: cheapest CPU plan for a unit-aligned base offset
+        self.cpu_plan = select_cpu_plan(form, unit)
+        #: cheapest GPU plan when no tuner or ablation overrides it
+        self.gpu_plan = select_gpu_plan(form)
+        self._gather: Optional[np.ndarray] = None
+
+    def gather_map(self) -> np.ndarray:
+        """``idx[k]``: user offset (in ``unit`` elements) of the ``k``-th
+        packed element.  Built on first use — the memcpy and strided plans
+        never need it (for a 4096^2 sub-matrix it is 16M int64 entries)."""
+        if self._gather is None:
+            self._gather = _spans_to_indices(self.spans, self.unit)
+        return self._gather
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamPlan({self.form!r} x{self.count}, unit={self.unit}, "
+            f"cpu={self.cpu_plan}, gpu={self.gpu_plan})"
+        )
+
+
+def stream_plan(dt: Datatype, count: int = 1) -> StreamPlan:
+    """The compiled stream plan of ``count`` elements of ``dt``.
+
+    Cached per ``count`` on the datatype object, for as long as the
+    object lives: the first call walks the tiled spans, every later call
+    is a dict lookup.
+    """
+    plan = dt._plans.get(count)
+    if plan is None:
+        dt.commit()
+        plan = dt._plans[count] = StreamPlan(dt, count)
+    return plan
+
+
+def canonicalize(dt: Datatype, count: int = 1) -> CanonicalForm:
+    """Normal form of ``count`` elements of a committed datatype."""
+    return stream_plan(dt, count).form
 
 
 def canonical_key(dt: Datatype, count: int, unit_size: int) -> tuple:

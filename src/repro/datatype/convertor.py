@@ -1,30 +1,34 @@
-"""Pack/unpack convertors: the vectorized fast path and helpers.
+"""Pack/unpack convertors: a compiled stream plan bound to one buffer.
 
 Two interchangeable engines exist:
 
 * :class:`repro.datatype.stack.StackMachine` — the faithful Open MPI
   stack walk, resumable at any byte (reference implementation);
-* the **compiled pack plans** here, selected per (datatype, count) from
-  the canonical IR (:mod:`repro.datatype.canonical`) by its cost model:
+* the **compiled pack plans**, chosen once per (datatype, count) from the
+  canonical IR by its cost model and cached in the datatype's
+  :class:`~repro.datatype.canonical.StreamPlan`.  A convertor binds that
+  plan to a user buffer and runs the plan's executor on every range:
 
   - ``memcpy``    — single gap-free block: one slice copy per range;
-  - ``strided2d`` — uniform vector: head/body/tail strided slice copies
-    (the CPU counterpart of ``cudaMemcpy2D``);
-  - ``gather``    — a cached NumPy index array at the datatype's
-    granularity (8 B for double-based types), so packing a fragment is
-    one fancy-index expression — the moral equivalent of the paper's
-    cached CUDA_DEV list: it depends only on the type's *shape*, never
-    on buffer addresses, so it is computed once per (datatype, count)
-    and reused for every subsequent pack/unpack;
-  - ``stack``     — the resumable stack walk, for sub-granularity base
-    offsets no precompiled map can express.
+  - ``strided2d`` — uniform vector: head/body/tail slice copies over a
+    strided (block, element) view of the buffer (the CPU counterpart of
+    ``cudaMemcpy2D``);
+  - ``gather``    — one fancy-index expression over the plan's gather
+    map at the stream unit (8 B for double-based types) — the moral
+    equivalent of the paper's cached CUDA_DEV list: it depends only on
+    the type's *shape*, never on buffer addresses, so it is built once
+    per (datatype, count) and reused for every later pack/unpack;
+  - ``stack``     — the resumable stack walk, for sub-unit base offsets
+    and fragment boundaries no precompiled map can express.
+
+  A memcpy or strided layout reaching past the end of the bound buffer
+  runs the gather executor instead.
 
 Both engines are validated against each other by property tests.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -34,57 +38,23 @@ from repro.datatype.canonical import (
     PLAN_MEMCPY,
     PLAN_STACK,
     PLAN_STRIDED2D,
-    canonicalize,
-    select_cpu_plan,
+    stream_plan,
 )
 from repro.datatype.ddt import Datatype
 from repro.datatype.stack import StackMachine, compile_datatype
-from repro.datatype.typemap import Spans
 
-__all__ = ["Convertor", "gather_indices", "stream_unit", "pack_bytes", "unpack_bytes"]
-
-
-def stream_unit(dt: Datatype, count: int = 1) -> int:
-    """Byte granularity of the packed stream for ``count`` elements."""
-    unit = dt.granularity()
-    if count > 1:
-        # element k lives at k * extent, so the unit must divide the
-        # extent too (a resized type may have any byte extent)
-        unit = math.gcd(unit, abs(dt.extent)) or 1
-    return unit
+__all__ = ["Convertor", "gather_indices", "pack_bytes", "unpack_bytes"]
 
 
 def gather_indices(dt: Datatype, count: int = 1) -> tuple[np.ndarray, int]:
     """Element-granularity gather map for ``count`` elements of ``dt``.
 
     Returns ``(idx, unit)`` where ``idx[k]`` is the user-buffer offset (in
-    ``unit``-byte elements) of the ``k``-th packed element.  Cached on the
-    datatype.
+    ``unit``-byte elements) of the ``k``-th packed element.  Cached in the
+    datatype's stream plan.
     """
-    unit = stream_unit(dt, count)
-    key = (count, unit)
-    cached = dt._gather_cache.get(key)
-    if cached is not None:
-        return cached, unit
-    spans = dt.spans_for_count(count)
-    idx = _spans_to_indices(spans, unit)
-    dt._gather_cache[key] = idx
-    return idx, unit
-
-
-def _spans_to_indices(spans: Spans, unit: int) -> np.ndarray:
-    """Expand byte spans into per-element user offsets (in units)."""
-    if spans.count == 0:
-        return np.empty(0, dtype=np.int64)
-    counts = spans.lens // unit
-    starts = spans.disps // unit
-    total = int(counts.sum())
-    # idx = repeat(starts) + intra-span ramp
-    idx = np.repeat(starts, counts)
-    ramp = np.arange(total, dtype=np.int64)
-    span_first = np.repeat(np.cumsum(counts) - counts, counts)
-    idx += ramp - span_first
-    return idx
+    plan = stream_plan(dt, count)
+    return plan.gather_map(), plan.unit
 
 
 class Convertor:
@@ -93,8 +63,8 @@ class Convertor:
     The protocols drive this exactly like Open MPI drives
     ``opal_convertor_pack``: ask for the next ``n`` bytes of the packed
     stream (pack), or deliver the next ``n`` bytes (unpack).  Fragment
-    boundaries that are multiples of the datatype granularity take the
-    vectorized path; anything else falls back to the stack machine.
+    boundaries that are multiples of the stream unit run the plan's
+    executor; anything else falls back to the stack machine.
     """
 
     def __init__(
@@ -107,43 +77,49 @@ class Convertor:
     ) -> None:
         if direction not in ("pack", "unpack"):
             raise ValueError("direction must be 'pack' or 'unpack'")
-        dt.commit()
+        sp = stream_plan(dt, count)
+        if base_offset + sp.true_lb < 0:
+            raise ValueError("datatype reaches below the start of the buffer")
         self.dt = dt
         self.count = count
         self.user = user_bytes
         self.direction = direction
         self.base_offset = base_offset
+        #: the compiled (datatype, count) plan this convertor binds
+        self.stream_plan = sp
         self.total_bytes = dt.size * count
         self.position = 0
-        self._unit = stream_unit(dt, count)
-        #: gather index array, built lazily — the uniform-vector fast
-        #: path below never needs it (for a 4096^2 sub-matrix the index
-        #: array alone is 16M int64 entries)
+        self._unit = sp.unit
+        self._packing = direction == "pack"
+        #: buffer-bound views, built on first use by their executor
         self._idx: Optional[np.ndarray] = None
         self._user_elems: Optional[np.ndarray] = None
+        self._rows_view: Optional[np.ndarray] = None
         self._stack: Optional[StackMachine] = None
         #: dedicated stack machine for the *range* API when the base is
         #: misaligned (the gather map cannot express a sub-unit shift)
         self._rstack: Optional[StackMachine] = None
         self._rstack_pos = 0
-        lo = dt.spans_for_count(count).true_lb if count else 0
-        if base_offset + lo < 0:
-            raise ValueError("datatype reaches below the start of the buffer")
-        #: canonical normal form of (datatype, count) — the structural
-        #: identity plan selection and the DevCache key on
-        self.form = canonicalize(dt, count)
-        #: compiled pack plan the cost model chose for this stream
-        self.plan = select_cpu_plan(self.form, self._unit, base_offset)
-        #: uniform-vector shape, when the whole stream is expressible as
-        #: a strided 2-D copy (the CPU counterpart of cudaMemcpy2D)
-        self._vec = None
-        self._rows_view: Optional[np.ndarray] = None
-        if self.plan == PLAN_STACK:
+        plan = PLAN_STACK if base_offset % sp.unit else sp.cpu_plan
+        #: the whole layout lies inside the buffer; otherwise only the
+        #: bounds-checked gather may touch it (a prefix of a short buffer)
+        self._fits = base_offset + sp.true_ub <= len(user_bytes)
+        if plan in (PLAN_MEMCPY, PLAN_STRIDED2D) and not self._fits:
+            plan = PLAN_GATHER
+        #: the CPU pack plan this convertor executes
+        self.plan = plan
+        if plan == PLAN_MEMCPY:
+            self._origin = base_offset + sp.vector_shape.first_disp
+            self._exec = self._memcpy
+        elif plan == PLAN_STRIDED2D:
+            self._exec = self._strided
+        elif plan == PLAN_GATHER:
+            self._exec = self._gather
+        else:
+            self._exec = None
             self._fallback()  # misaligned base: stack machine from the start
-        elif self.plan in (PLAN_MEMCPY, PLAN_STRIDED2D):
-            self._vec = self.form.vector_shape
 
-    # -- internals -------------------------------------------------------
+    # -- buffer-bound views ------------------------------------------------
     def _elems(self) -> np.ndarray:
         if self._user_elems is None:
             u = self._unit
@@ -154,59 +130,50 @@ class Convertor:
     def _indices(self) -> np.ndarray:
         """User-buffer-absolute gather indices (element granularity)."""
         if self._idx is None:
-            idx, unit = gather_indices(self.dt, self.count)
-            assert unit == self._unit
+            idx = self.stream_plan.gather_map()
             if self.base_offset:
                 idx = idx + self.base_offset // self._unit
             self._idx = idx
         return self._idx
 
-    def _rows(self) -> Optional[np.ndarray]:
+    def _rows(self) -> np.ndarray:
         """Strided 2-D (block, element) view of the user buffer."""
         if self._rows_view is None:
-            v = self._vec
+            v = self.stream_plan.vector_shape
             u = self._unit
             elems = self._elems()
-            start = (self.base_offset + v.first_disp) // u
-            epb = v.blocklength // u
-            spb = v.stride // u  # elements between successive block starts
-            if start < 0 or start + (v.count - 1) * spb + epb > len(elems):
-                self._vec = None  # layout exceeds the buffer: no fast path
-                self.plan = PLAN_GATHER
-                return None
             item = elems.dtype.itemsize
             self._rows_view = np.lib.stride_tricks.as_strided(
-                elems[start:],
-                shape=(v.count, epb),
-                strides=(spb * item, item),
+                elems[(self.base_offset + v.first_disp) // u :],
+                shape=(v.count, v.blocklength // u),
+                strides=(v.stride // u * item, item),
             )
         return self._rows_view
 
-    def _fast_range(self, buf: np.ndarray, lo: int, hi: int) -> bool:
-        """Strided-copy transfer of packed range [lo, hi); True if handled.
+    # -- executors: move packed range [lo, hi) to/from ``buf`` --------------
+    def _memcpy(self, buf: np.ndarray, lo: int, hi: int) -> None:
+        a = self._origin + lo
+        if self._packing:
+            buf[:] = self.user[a : a + hi - lo]
+        else:
+            self.user[a : a + hi - lo] = buf
 
-        For uniform-vector layouts every fragment decomposes into (head
-        partial block, whole blocks, tail partial block) — three NumPy
-        slice copies instead of a fancy-index gather over every element,
-        the CPU-side analogue of packing with ``cudaMemcpy2D``.
-        """
-        if self._vec is None or lo >= hi:
-            return False
+    def _strided(self, buf: np.ndarray, lo: int, hi: int) -> None:
+        """Every fragment of a uniform vector decomposes into (head partial
+        block, whole blocks, tail partial block) — three NumPy slice
+        copies instead of a fancy-index gather over every element."""
         rows = self._rows()
-        if rows is None:
-            return False
         epb = rows.shape[1]
-        e0, e1 = lo // self._unit, hi // self._unit
-        o = buf[: hi - lo].view(rows.dtype)
-        pack = self.direction == "pack"
-        r0, c0 = divmod(e0, epb)
-        r1, c1 = divmod(e1, epb)
+        o = buf.view(rows.dtype)
+        pack = self._packing
+        r0, c0 = divmod(lo // self._unit, epb)
+        r1, c1 = divmod(hi // self._unit, epb)
         if r0 == r1:
             if pack:
                 o[:] = rows[r0, c0:c1]
             else:
                 rows[r0, c0:c1] = o
-            return True
+            return
         pos = 0
         if c0:
             n0 = epb - c0
@@ -229,7 +196,19 @@ class Convertor:
                 o[pos : pos + c1] = rows[r1, :c1]
             else:
                 rows[r1, :c1] = o[pos : pos + c1]
-        return True
+
+    def _gather(self, buf: np.ndarray, lo: int, hi: int) -> None:
+        u = self._unit
+        idx = self._indices()[lo // u : hi // u]
+        if self._packing:
+            # straight into ``buf``; unchecked ("clip") only when every
+            # index is known to lie inside the buffer
+            self._elems().take(
+                idx, out=buf.view(_unit_dtype(u)),
+                mode="clip" if self._fits else "raise",
+            )
+        else:
+            self._elems()[idx] = buf.view(_unit_dtype(u))
 
     def _fallback(self) -> StackMachine:
         if self._stack is None:
@@ -241,7 +220,7 @@ class Convertor:
             # fast-forward to the current position
             if self.position:
                 scratch = np.empty(self.position, dtype=np.uint8)
-                if self.direction == "pack":
+                if self._packing:
                     self._stack.advance(scratch)
                 else:
                     raise RuntimeError(
@@ -254,49 +233,35 @@ class Convertor:
     def done(self) -> bool:
         return self.position >= self.total_bytes
 
-    def pack(self, out: np.ndarray, max_bytes: Optional[int] = None) -> int:
-        """Produce the next packed bytes into ``out``; returns count."""
-        if self.direction != "pack":
-            raise RuntimeError("convertor was created for unpack")
+    def _next(self, buf: np.ndarray, max_bytes: Optional[int]) -> int:
+        """Move the next bytes of the stream to/from ``buf``; returns count."""
         n = min(
             self.total_bytes - self.position,
-            len(out) if max_bytes is None else min(max_bytes, len(out)),
+            len(buf) if max_bytes is None else min(max_bytes, len(buf)),
         )
         if n <= 0:
             return 0
         lo, hi = self.position, self.position + n
         u = self._unit
         if self._stack is None and lo % u == 0 and hi % u == 0:
-            if not self._fast_range(out[:n], lo, hi):
-                idx = self._indices()[lo // u : hi // u]
-                out[:n] = self._elems()[idx].view(np.uint8)
+            self._exec(buf[:n], lo, hi)
         else:
-            done = self._fallback().advance(out[:n])
+            done = self._fallback().advance(buf[:n])
             assert done == n
         self.position = hi
         return n
 
+    def pack(self, out: np.ndarray, max_bytes: Optional[int] = None) -> int:
+        """Produce the next packed bytes into ``out``; returns count."""
+        if not self._packing:
+            raise RuntimeError("convertor was created for unpack")
+        return self._next(out, max_bytes)
+
     def unpack(self, data: np.ndarray, max_bytes: Optional[int] = None) -> int:
         """Consume the next packed bytes from ``data``; returns count."""
-        if self.direction != "unpack":
+        if self._packing:
             raise RuntimeError("convertor was created for pack")
-        n = min(
-            self.total_bytes - self.position,
-            len(data) if max_bytes is None else min(max_bytes, len(data)),
-        )
-        if n <= 0:
-            return 0
-        lo, hi = self.position, self.position + n
-        u = self._unit
-        if self._stack is None and lo % u == 0 and hi % u == 0:
-            if not self._fast_range(data[:n], lo, hi):
-                idx = self._indices()[lo // u : hi // u]
-                self._elems()[idx] = data[:n].view(_unit_dtype(u))
-        else:
-            done = self._fallback().advance(data[:n])
-            assert done == n
-        self.position = hi
-        return n
+        return self._next(data, max_bytes)
 
     def _range_stack(self, lo: int) -> StackMachine:
         """Stack machine backing the range API for misaligned bases.
@@ -309,7 +274,7 @@ class Convertor:
         inherently sequential — consumed bytes cannot be replayed.
         """
         if self._rstack is not None and self._rstack_pos > lo:
-            if self.direction != "pack":
+            if not self._packing:
                 raise RuntimeError(
                     "misaligned-base unpack_range cannot rewind; "
                     "deliver fragments in stream order"
@@ -323,7 +288,7 @@ class Convertor:
             )
             self._rstack_pos = 0
         if self._rstack_pos < lo:
-            if self.direction != "pack":
+            if not self._packing:
                 raise RuntimeError(
                     "misaligned-base unpack_range cannot skip ahead; "
                     "deliver fragments in stream order"
@@ -333,35 +298,26 @@ class Convertor:
             self._rstack_pos = lo
         return self._rstack
 
-    def pack_range(self, out: np.ndarray, lo: int, hi: int) -> None:
-        """Random-access pack of packed-stream range [lo, hi) (aligned)."""
+    def _range(self, buf: np.ndarray, lo: int, hi: int, what: str) -> None:
         u = self._unit
         if lo % u or hi % u:
-            raise ValueError("pack_range requires granularity-aligned bounds")
-        if self.base_offset % u:
-            done = self._range_stack(lo).advance(out[: hi - lo])
+            raise ValueError(f"{what} requires granularity-aligned bounds")
+        if lo == hi:
+            return
+        if self._exec is None:
+            done = self._range_stack(lo).advance(buf[: hi - lo])
             assert done == hi - lo
             self._rstack_pos = hi
             return
-        if self._fast_range(out[: hi - lo], lo, hi):
-            return
-        idx = self._indices()[lo // u : hi // u]
-        out[: hi - lo] = self._elems()[idx].view(np.uint8)
+        self._exec(buf[: hi - lo], lo, hi)
+
+    def pack_range(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Random-access pack of packed-stream range [lo, hi) (aligned)."""
+        self._range(out, lo, hi, "pack_range")
 
     def unpack_range(self, data: np.ndarray, lo: int, hi: int) -> None:
         """Random-access unpack of packed-stream range [lo, hi) (aligned)."""
-        u = self._unit
-        if lo % u or hi % u:
-            raise ValueError("unpack_range requires granularity-aligned bounds")
-        if self.base_offset % u:
-            done = self._range_stack(lo).advance(data[: hi - lo])
-            assert done == hi - lo
-            self._rstack_pos = hi
-            return
-        if self._fast_range(data[: hi - lo], lo, hi):
-            return
-        idx = self._indices()[lo // u : hi // u]
-        self._elems()[idx] = data[: hi - lo].view(_unit_dtype(u))
+        self._range(data, lo, hi, "unpack_range")
 
 
 _UNIT_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}

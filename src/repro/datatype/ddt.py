@@ -93,10 +93,8 @@ class Datatype:
         self.committed = False
         self._spans: Optional[Spans] = None
         self._contig: Optional[bool] = None
-        #: per-(count) caches used by the convertor fast path
-        self._gather_cache: dict[tuple[int, int], np.ndarray] = {}
-        #: per-count canonical forms (repro.datatype.canonical)
-        self._canon_cache: dict = {}
+        #: per-count compiled stream plans (repro.datatype.canonical)
+        self._plans: dict = {}
 
     # -- extent ------------------------------------------------------------
     @property
@@ -150,19 +148,20 @@ class Datatype:
     def as_vector(self, count: int = 1) -> Optional[VectorShape]:
         """Return the uniform-vector shape of ``count`` elements, if any.
 
-        Delegates to the canonical IR (:mod:`repro.datatype.canonical`),
-        which caches the classification per count — so the engines, the
-        convertor and the cache key all agree on one normal form.
+        Delegates to the compiled stream plan
+        (:mod:`repro.datatype.canonical`), cached per count — so the
+        engines, the convertor and the cache key all agree on one normal
+        form.
         """
-        from repro.datatype.canonical import canonicalize
+        from repro.datatype.canonical import stream_plan
 
-        return canonicalize(self, count).vector_shape
+        return stream_plan(self, count).vector_shape
 
     # -- misc -----------------------------------------------------------------
     def granularity(self) -> int:
         """Largest power-of-two byte unit dividing every span disp/len.
 
-        The convertor's gather fast path works at this granularity; 8 for
+        The stream plan's unit starts from this granularity; 8 for
         double-based types, smaller for packed char structs.
         """
         s = self.spans

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datatype.canonical import stream_plan
 from repro.datatype.ddt import Datatype
 from repro.obs import phases as _phases
 
@@ -48,7 +49,7 @@ class DevList:
 def to_devs(dt: Datatype, count: int = 1) -> DevList:
     """Convert ``count`` elements of a committed datatype into DEVs."""
     with _phases.measure(_phases.DEV_BUILD):
-        spans = dt.spans_for_count(count)
+        spans = stream_plan(dt, count).spans
         return DevList(
             src_disps=spans.disps,
             dst_disps=spans.packed_offsets(),

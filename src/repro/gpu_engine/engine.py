@@ -29,9 +29,7 @@ from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
     PLAN_VECTOR_KERNEL,
-    canonicalize,
     feasible_gpu_plans,
-    select_gpu_plan,
 )
 from repro.datatype.convertor import Convertor
 from repro.datatype.ddt import Datatype, VectorShape
@@ -106,8 +104,9 @@ class PackJob:
         p = self.gpu.params
         self.unit_size = options.unit_size or p.dev_unit_size
         self.convertor = Convertor(dt, count, user_buf.bytes, direction)
-
-        self.form = canonicalize(dt, count)
+        #: the compiled (datatype, count) plan, shared with the convertor
+        sp = self.stream_plan = self.convertor.stream_plan
+        self.form = sp.form
         #: autotuner hook (docs/AUTOTUNER.md): learned seconds-per-byte
         #: may override the hand-set cost model, but only among the
         #: form's feasible plans and only with full coverage; the forced
@@ -124,10 +123,10 @@ class PackJob:
                     self._tune_key, feasible_gpu_plans(self.form)
                 )
         if plan is None:
-            plan = select_gpu_plan(self.form, force_dev=options.force_dev_path)
+            plan = PLAN_GATHER if options.force_dev_path else sp.gpu_plan
         self.plan = plan
         shape = (
-            self.form.vector_shape
+            sp.vector_shape
             if self.plan in (PLAN_MEMCPY, PLAN_VECTOR_KERNEL)
             else None
         )
@@ -136,6 +135,8 @@ class PackJob:
             # empty) DEV path like any other non-vector layout
             self.plan = PLAN_GATHER
         self.vector_shape: Optional[VectorShape] = shape
+        #: vector/memcpy kernel (no DEV preparation) vs the DEV path
+        self.uses_vector_kernel = shape is not None
         engine._m_plans[self.plan].inc()
         self.units: Optional[WorkUnits] = None
         self._prepped_units = 0
@@ -172,10 +173,6 @@ class PackJob:
             )
 
     # -- planning ------------------------------------------------------------
-    @property
-    def uses_vector_kernel(self) -> bool:
-        return self.vector_shape is not None
-
     def fragments(self, frag_bytes: int) -> list[Fragment]:
         """Split the packed stream into pipeline fragments.
 
@@ -266,9 +263,7 @@ class PackJob:
         p = self.gpu.params
         units = self.units
         assert units is not None
-        devs_per_unit = self.dt.spans_for_count(self.count).count / max(
-            1, units.count
-        )
+        devs_per_unit = self.stream_plan.spans.count / max(1, units.count)
         return n_units * (p.dev_prep_per_unit + devs_per_unit * p.dev_prep_per_dev)
 
     def prepare(self, frag: Fragment) -> Optional[Future]:
@@ -368,7 +363,8 @@ class PackJob:
         streams over PCIe: duration is clamped by the link and the link is
         co-occupied.
         """
-        if contig.nbytes < frag.nbytes:
+        nbytes = frag.hi - frag.lo
+        if contig.nbytes < nbytes:
             raise ValueError("contiguous buffer smaller than fragment")
         stats = self.kernel_stats(frag)
         stream = stream or self.stream
@@ -384,7 +380,7 @@ class PackJob:
                 if self.gpu.node is not None
                 else 1.0
             )
-            wire = link.overhead + frag.nbytes / (link.bandwidth * eff)
+            wire = link.overhead + nbytes / (link.bandwidth * eff)
             duration = max(duration, wire) + link.latency
             co_links.append(link)
         else:
@@ -393,16 +389,16 @@ class PackJob:
             co_links.append(self.gpu.copy_engine)
         self.engine._m_kernel.observe(duration)
         self.engine._m_fragments.inc()
-        self.engine._m_bytes.inc(frag.nbytes)
+        self.engine._m_bytes.inc(nbytes)
         if self._tune_key is not None:
             self.engine.tuner.observe_plan(
-                self._tune_key, self.plan, duration, frag.nbytes
+                self._tune_key, self.plan, duration, nbytes
             )
         reads: tuple = ()
         writes: tuple = ()
         if _san.RACE is not None:
             hull = self._user_hull(frag)
-            contig_rng = (contig, 0, frag.nbytes)
+            contig_rng = (contig, 0, nbytes)
             if self.direction == "pack":
                 reads = (hull,) if hull else ()
                 writes = (contig_rng,)
@@ -414,7 +410,7 @@ class PackJob:
             fn=lambda: self._move(frag, contig),
             label=f"{self.direction}-kernel[{frag.index}]",
             co_links=co_links,
-            nbytes=frag.nbytes,
+            nbytes=nbytes,
             reads=reads,
             writes=writes,
         )

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cuda.runtime import CudaContext
+from repro.cuda.uma import map_host_buffer, unmap_host_buffer
 from repro.faults.plan import FaultPlan
 from repro.gpu_engine.engine import GpuDatatypeEngine
 from repro.mpi.config import MpiConfig
@@ -20,7 +22,10 @@ if TYPE_CHECKING:
     from repro.hw.node import Node
     from repro.mpi.btl.base import Btl
 
-__all__ = ["MpiProcess"]
+__all__ = ["MpiProcess", "STAGING_IDLE_CAP"]
+
+#: idle staging bytes one rank keeps pooled per kind ("host", "device")
+STAGING_IDLE_CAP = 64 << 20
 
 
 class MpiProcess:
@@ -71,10 +76,6 @@ class MpiProcess:
         #: cached counter objects keyed (role, protocol, mode) so the
         #: per-transfer hot path skips the f-string + registry lookups
         self._rt_counters: dict = {}
-        #: reusable CPU convertors keyed (direction, count, id(dt), id(buf));
-        #: values hold strong refs to dt/buf so the ids stay valid, and hits
-        #: verify identity — see CpuSideJob
-        self._convertor_cache: dict = {}
         #: pre-rendered label for matching futures (one irecv per message)
         self._match_label: str = f"r{rank}.match"
         #: per-peer cached isend/irecv process labels (one spawn per message)
@@ -90,8 +91,13 @@ class MpiProcess:
         #: of the RDMA connection (and then caching the registration)"
         self.ipc_cache: dict = {}
         self.am_received = 0
-        # staging-buffer free lists, keyed (kind, nbytes, mapped)
+        # staging-buffer free lists, keyed (kind, nbytes, mapped), each in
+        # release order
         self._staging_pool: dict = {}
+        #: per kind: idle pooled buffers in release order (buffer -> pool
+        #: key) and their total bytes, bounded by STAGING_IDLE_CAP
+        self._staging_lru: dict[str, OrderedDict] = {}
+        self.staging_idle_bytes: dict[str, int] = {}
 
     # -- staging buffer pool ------------------------------------------------
     def acquire_staging(
@@ -113,14 +119,14 @@ class MpiProcess:
         buffer, and the caller degrades gracefully.  Required
         allocations are never refused.
         """
-        from repro.cuda.uma import map_host_buffer
-
         if optional and self.faults is not None and self.faults.fail_staging(kind):
             return None
         key = (kind, nbytes, zero_copy_map)
         pool = self._staging_pool.setdefault(key, [])
         if pool:
             buf, snap = pool.pop()
+            del self._staging_lru[kind][buf]
+            self.staging_idle_bytes[kind] -= nbytes
             if _san.MEM is not None:
                 # pooled reuse is logically a fresh allocation: stale
                 # contents from the previous transfer must read as
@@ -144,9 +150,33 @@ class MpiProcess:
         return buf
 
     def release_staging(self, kind: str, buf, zero_copy_map: bool = False) -> None:
-        """Return a staging buffer to its pool."""
+        """Return a staging buffer to its pool.
+
+        Pools are keyed by exact size, so traffic whose sizes change from
+        call to call would grow them without bound; past
+        :data:`STAGING_IDLE_CAP` idle bytes of this kind, the
+        least-recently-released buffers are freed.  The buffer just
+        released always stays: a transfer that keeps reusing one ring
+        larger than the cap must not pay a fresh allocation (and its
+        peer a fresh IPC registration) every time.
+        """
         snap = None if _san.RACE is None else _san.RACE.snapshot()
-        self._staging_pool[(kind, buf.nbytes, zero_copy_map)].append((buf, snap))
+        key = (kind, buf.nbytes, zero_copy_map)
+        self._staging_pool[key].append((buf, snap))
+        lru = self._staging_lru.setdefault(kind, OrderedDict())
+        lru[buf] = key
+        idle = self.staging_idle_bytes.get(kind, 0) + buf.nbytes
+        while idle > STAGING_IDLE_CAP and len(lru) > 1:
+            old, old_key = lru.popitem(last=False)
+            # the oldest release of its size sits first in its free list
+            pool = self._staging_pool[old_key]
+            assert pool[0][0] is old
+            del pool[0]
+            idle -= old.nbytes
+            if old_key[2]:
+                unmap_host_buffer(old)
+            old.free()
+        self.staging_idle_bytes[kind] = idle
 
     @property
     def engine(self) -> GpuDatatypeEngine:

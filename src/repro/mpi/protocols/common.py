@@ -509,23 +509,8 @@ class CpuSideJob:
         self.direction = direction
         if _san.MEM is not None:
             _san.MEM.check_cpu_path(buf, what=f"CpuSideJob({direction})")
-        # Convertor construction (canonicalize + plan selection + strided
-        # views) dominates small-message cost, so reuse one per
-        # (direction, count, datatype, buffer).  The range API is
-        # stateless, making reuse safe.  Cache values hold strong refs to
-        # dt/buf, so the id() keys can never be recycled while an entry
-        # lives; the identity check makes a hit unambiguous.
-        cache = proc._convertor_cache
-        key = (direction, count, id(dt), id(buf))
-        hit = cache.get(key)
-        if hit is not None and hit[0] is dt and hit[1] is buf:
-            self.convertor = hit[2]
-        else:
-            if len(cache) >= 512:
-                cache.clear()
-            conv = Convertor(dt, count, buf.bytes, direction)
-            cache[key] = (dt, buf, conv)
-            self.convertor = conv
+        # binds the datatype's cached stream plan to this buffer
+        self.convertor = Convertor(dt, count, buf.bytes, direction)
         self.contiguous = dt.is_contiguous
         self.buf = buf
         self.total = dt.size * count

@@ -25,6 +25,7 @@ from repro.datatype.canonical import (
     plan_cost,
     select_cpu_plan,
     select_gpu_plan,
+    stream_plan,
 )
 from repro.datatype.convertor import Convertor, pack_bytes, unpack_bytes
 from repro.datatype.ddt import (
@@ -215,6 +216,114 @@ class TestPlanEquivalence:
             pack_bytes(dt, count, user), reference_pack(dt, count, user)
         )
 
+    @staticmethod
+    def stack_pack(dt, count, user, base_offset=0):
+        conv = Convertor(dt, count, user, "pack", base_offset)
+        conv._fallback()
+        out = np.empty(conv.total_bytes, dtype=np.uint8)
+        conv.pack(out)
+        return out
+
+    @staticmethod
+    def stack_unpack(dt, count, packed, size, base_offset=0):
+        user = np.zeros(size, dtype=np.uint8)
+        conv = Convertor(dt, count, user, "unpack", base_offset)
+        conv._fallback()
+        conv.unpack(packed)
+        return user
+
+    def check_plan(self, dt, count, user, plan, base_offset=0):
+        """``plan`` is selected and packs/unpacks the stack machine's bytes."""
+        conv = Convertor(dt, count, user, "pack", base_offset)
+        assert conv.plan == plan
+        want = self.stack_pack(dt, count, user, base_offset)
+        out = np.empty(conv.total_bytes, dtype=np.uint8)
+        conv.pack_range(out, 0, conv.total_bytes)
+        assert np.array_equal(out, want)
+        back = np.zeros_like(user)
+        conv = Convertor(dt, count, back, "unpack", base_offset)
+        assert conv.plan == plan
+        conv.unpack(want)
+        assert np.array_equal(
+            back, self.stack_unpack(dt, count, want, len(user), base_offset)
+        )
+
+    @pytest.mark.parametrize("base_offset", [0, 8, 40])
+    def test_memcpy_with_first_disp_and_base_offset(self, base_offset):
+        dt = struct([5], [24], [DOUBLE]).commit()  # one block at byte 24
+        assert canonicalize(dt).first_disp == 24
+        user = np.random.default_rng(1).integers(
+            0, 255, base_offset + 24 + dt.size, dtype=np.uint8
+        )
+        self.check_plan(dt, 1, user, PLAN_MEMCPY, base_offset)
+        packed = pack_bytes(dt, 1, user[base_offset:])
+        assert np.array_equal(
+            packed, user[base_offset + 24 : base_offset + 24 + dt.size]
+        )
+
+    @pytest.mark.parametrize("extent,unit", [(107, 1), (106, 2), (108, 4), (104, 8)])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_resized_odd_extent_unit(self, extent, unit, count):
+        # the stream unit folds the element extent in with a gcd
+        dt = resized(vector(3, 2, 4, DOUBLE), 0, extent).commit()
+        assert dt.granularity() == 16
+        assert stream_plan(dt, count).unit == unit
+        user = buffer_for(dt, count, np.random.default_rng(count))
+        oracle = reference_pack(dt, count, user)
+        assert np.array_equal(pack_bytes(dt, count, user), oracle)
+        self.check_plan(dt, count, user, stream_plan(dt, count).cpu_plan)
+
+    def test_short_buffer_strided_falls_back_to_gather(self):
+        dt = vector(4, 2, 8, DOUBLE).commit()
+        full = buffer_for(dt, 1, np.random.default_rng(2))
+        want = reference_pack(dt, 1, full)
+        user = full[: 2 * 64 + 16].copy()  # covers the first three blocks
+        conv = Convertor(dt, 1, user, "pack")
+        assert conv.plan == PLAN_GATHER
+        out = np.empty(48, dtype=np.uint8)
+        conv.pack_range(out, 0, 48)
+        assert np.array_equal(out, want[:48])
+        with pytest.raises(IndexError):
+            conv.pack_range(np.empty(16, dtype=np.uint8), 48, 64)
+        back = np.zeros_like(user)
+        conv = Convertor(dt, 1, back, "unpack")
+        assert conv.plan == PLAN_GATHER
+        conv.unpack_range(want[:48], 0, 48)
+        ref = np.zeros_like(user)
+        stack = Convertor(dt, 1, ref, "unpack")
+        stack._fallback()
+        stack.unpack(want[:48])
+        assert np.array_equal(back, ref)
+
+    @given(
+        dt=datatypes(),
+        count=st.integers(1, 3),
+        cuts=st.lists(st.integers(0, 1 << 16), max_size=8),
+        data=st.randoms(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_fragment_ranges_both_directions(self, dt, count, cuts, data):
+        rng = np.random.default_rng(data.randint(0, 2**31))
+        user = buffer_for(dt, count, rng)
+        want = self.stack_pack(dt, count, user)
+        u = stream_plan(dt, count).unit
+        total = len(want)
+        bounds = sorted({0, total, *(c % (total + 1) // u * u for c in cuts)})
+        frags = list(zip(bounds[:-1], bounds[1:])) + [(total, total)]
+        data.shuffle(frags)
+        conv = Convertor(dt, count, user, "pack")
+        for lo, hi in frags:
+            out = np.empty(hi - lo, dtype=np.uint8)
+            conv.pack_range(out, lo, hi)
+            assert np.array_equal(out, want[lo:hi]), (conv.plan, lo, hi)
+        back = np.zeros_like(user)
+        conv = Convertor(dt, count, back, "unpack")
+        for lo, hi in frags:
+            conv.unpack_range(want[lo:hi], lo, hi)
+        assert np.array_equal(
+            back, self.stack_unpack(dt, count, want, len(user))
+        )
+
 
 class TestDevCacheReuse:
     def test_second_construction_hits(self, gpu):
@@ -227,3 +336,82 @@ class TestDevCacheReuse:
         hi = hindexed([bl * 8] * c, [i * stride * 8 for i in range(c)], BYTE)
         assert cache.get(hi, 1, S) is units
         assert cache.hits == 1 and cache.misses == 0
+
+
+class _CountingGcd:
+    """Stands in for ``np.gcd``, counting ``reduce`` calls."""
+
+    def __init__(self, calls: dict) -> None:
+        self._gcd = np.gcd
+        self._calls = calls
+
+    def __call__(self, *args, **kwargs):
+        return self._gcd(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self._calls["np.gcd.reduce"] += 1
+        return self._gcd.reduce(*args, **kwargs)
+
+
+class TestStreamPlanCache:
+    """After one message on a (datatype, count), binding the same pair to a
+    buffer again re-derives nothing from the span list."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: indexed([3, 1, 2], [0, 5, 9], DOUBLE),  # gather / DEV path
+            lambda: vector(6, 2, 5, DOUBLE),  # strided / vector kernel
+        ],
+        ids=["runs", "vector"],
+    )
+    def test_no_layout_work_per_message(self, monkeypatch, make):
+        from repro.datatype import ddt, typemap
+        from repro.hw.node import Cluster
+        from repro.mpi.config import MpiConfig
+        from repro.mpi.proc import MpiProcess
+        from repro.mpi.protocols.common import CpuSideJob
+
+        dt, count = make().commit(), 2
+        cluster = Cluster(1, 1)
+        node = cluster.nodes[0]
+        proc = MpiProcess(0, node, node.gpus[0], MpiConfig())
+        size = dt.extent * count
+        dev = proc.ctx.malloc(size)
+        host = node.host_memory.alloc(size)
+        out = np.empty(dt.size * count, dtype=np.uint8)
+
+        def message():
+            conv = Convertor(dt, count, np.zeros(size, np.uint8), "pack")
+            conv.pack(out)
+            job = proc.engine.pack_job(dt, count, dev)
+            job.convertor.pack_range(out, 0, len(out))
+            if job.units is not None:
+                job.prep_time(job.units.count)
+            cpu = CpuSideJob(proc, dt, count, host, "pack")
+            cpu.convertor.pack_range(out, 0, len(out))
+
+        message()  # warm-up: compiles the plan, fills the DevCache
+        calls = dict.fromkeys(
+            ["tile", "coalesce", "spans_for_count", "np.gcd.reduce"], 0
+        )
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod in (typemap, ddt):
+            monkeypatch.setattr(mod, "tile", counting("tile", mod.tile))
+            monkeypatch.setattr(mod, "coalesce", counting("coalesce", mod.coalesce))
+        monkeypatch.setattr(
+            ddt.Datatype,
+            "spans_for_count",
+            counting("spans_for_count", ddt.Datatype.spans_for_count),
+        )
+        monkeypatch.setattr(np, "gcd", _CountingGcd(calls))
+        message()
+        assert calls == dict.fromkeys(calls, 0)
+        assert proc.engine.cache.hits == 1

@@ -2,7 +2,7 @@
 
 Two fast paths must be observationally identical to their references:
 
-* the convertor's uniform-vector strided 2-D transfer (``_fast_range``)
+* the convertor's uniform-vector strided 2-D executor (``_strided``)
   vs the gather path and the stack machine;
 * the hindexed gap-free-base vectorized span build vs the generic
   per-block tile/shift/coalesce loop.
@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datatype.canonical import PLAN_GATHER, PLAN_MEMCPY, PLAN_STRIDED2D
 from repro.datatype.convertor import Convertor, pack_bytes
 from repro.datatype.ddt import contiguous, hindexed, indexed, vector
 from repro.datatype.primitives import DOUBLE
@@ -34,17 +35,18 @@ class TestStridedFastPath:
         dt = make_vec()
         user = buffer_for(dt, 1, rng)
         conv = Convertor(dt, 1, user, "pack")
-        assert conv._vec is not None  # precondition for everything below
+        assert conv.plan == PLAN_STRIDED2D  # precondition for everything below
         out = np.empty(dt.size, dtype=np.uint8)
         conv.pack(out)
         assert conv._idx is None  # gather map never materialized
+        assert conv.stream_plan._gather is None
         assert np.array_equal(out, reference_pack(dt, 1, user))
 
     def test_non_uniform_layout_does_not_engage(self, rng):
         dt = indexed([3, 1, 2], [0, 4, 8], DOUBLE).commit()
         user = buffer_for(dt, 1, rng)
         conv = Convertor(dt, 1, user, "pack")
-        assert conv._vec is None
+        assert conv.plan == PLAN_GATHER
         out = np.empty(dt.size, dtype=np.uint8)
         conv.pack(out)
         assert np.array_equal(out, reference_pack(dt, 1, user))
@@ -66,7 +68,7 @@ class TestStridedFastPath:
         user = buffer_for(dt, 1, rng)
         want = reference_pack(dt, 1, user)
         conv = Convertor(dt, 1, user, "pack")
-        assert conv._vec is not None
+        assert conv.plan in (PLAN_MEMCPY, PLAN_STRIDED2D)
         chunks = []
         while not conv.done:
             buf = np.empty(frag_elems * 8, dtype=np.uint8)
@@ -91,7 +93,7 @@ class TestStridedFastPath:
         packed = reference_pack(dt, 1, user)
         out = np.zeros_like(user)
         conv = Convertor(dt, 1, out, "unpack")
-        assert conv._vec is not None
+        assert conv.plan in (PLAN_MEMCPY, PLAN_STRIDED2D)
         pos = 0
         while not conv.done:
             n = conv.unpack(packed[pos : pos + frag_elems * 8])
@@ -103,7 +105,7 @@ class TestStridedFastPath:
         user = buffer_for(dt, 1, rng)
         want = reference_pack(dt, 1, user)
         conv = Convertor(dt, 1, user, "pack")
-        assert conv._vec is not None
+        assert conv.plan == PLAN_STRIDED2D
         # out-of-order, overlapping, and sub-block ranges
         for lo, hi in [(64, 128), (0, 8), (24, 104), (248, 256), (0, 256)]:
             out = np.empty(hi - lo, dtype=np.uint8)
@@ -115,7 +117,7 @@ class TestStridedFastPath:
         shift = 3 * 8
         user = rng.integers(0, 255, dt.extent + shift, dtype=np.uint8)
         conv = Convertor(dt, 1, user, "pack", base_offset=shift)
-        assert conv._vec is not None
+        assert conv.plan == PLAN_STRIDED2D
         out = np.empty(dt.size, dtype=np.uint8)
         conv.pack(out)
         assert np.array_equal(out, reference_pack(dt, 1, user[shift:]))

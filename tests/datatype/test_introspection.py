@@ -47,8 +47,9 @@ class TestDup:
         from repro.datatype.convertor import gather_indices
 
         gather_indices(dt, 1)
+        assert dt._plans[1]._gather is not None
         clone = dt.dup()
-        assert not clone._gather_cache
+        assert not clone._plans
 
 
 class TestDescribe:

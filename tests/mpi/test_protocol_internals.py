@@ -12,6 +12,7 @@ from repro.mpi.btl.ib import IbBtl
 from repro.mpi.btl.sm import SmBtl
 from repro.mpi.bml import Bml
 from repro.mpi.config import MpiConfig
+from repro.mpi import proc as proc_mod
 from repro.mpi.pml import _signature_check
 from repro.mpi.proc import MpiProcess
 from repro.mpi.protocols.common import SideInfo, choose_protocol, describe_side
@@ -152,6 +153,85 @@ class TestStagingPool:
         c, p0, _ = procs("cpu")
         with pytest.raises(RuntimeError):
             p0.acquire_staging("device", 4096)
+
+    def test_idle_cap_frees_least_recently_released(self, monkeypatch):
+        from repro.cuda.uma import is_mapped_host
+
+        monkeypatch.setattr(proc_mod, "STAGING_IDLE_CAP", 3 * 4096)
+        c, p0, _ = procs("sm-gpu")
+        bufs = [
+            p0.acquire_staging("host", 4096 + 256 * i, zero_copy_map=True)
+            for i in range(3)
+        ]
+        for b in bufs:
+            p0.release_staging("host", b, zero_copy_map=True)
+        # 3 * 4096 + 768 idle bytes: the first release alone goes
+        assert bufs[0].allocation.freed and not is_mapped_host(bufs[0])
+        assert not any(b.allocation.freed for b in bufs[1:])
+        assert p0.staging_idle_bytes["host"] == 2 * 4096 + 768
+        # reuse takes the buffer out of the idle count; the kinds are
+        # capped separately
+        assert p0.acquire_staging("host", 4096 + 256, zero_copy_map=True) is bufs[1]
+        assert p0.staging_idle_bytes["host"] == 4096 + 512
+        dev = p0.acquire_staging("device", 3 * 4096)
+        p0.release_staging("device", dev)
+        assert not dev.allocation.freed
+        # the buffer just released stays, even alone above the cap
+        big = p0.acquire_staging("device", 4 * 4096)
+        p0.release_staging("device", big)
+        assert dev.allocation.freed and not big.allocation.freed
+        small = p0.acquire_staging("device", 4096)
+        p0.release_staging("device", small)
+        assert big.allocation.freed and not small.allocation.freed
+
+    def test_redrawn_alltoallv_stays_under_cap(self, monkeypatch):
+        """Counts redrawn every round give every round new staging sizes;
+        the pool must stay bounded and delivery stay byte-exact."""
+        from repro.datatype.primitives import BYTE
+        from repro.mpi.collectives import CollAlgorithm, alltoallv
+        from repro.mpi.world import MpiWorld
+
+        cap = 64 << 10
+        monkeypatch.setattr(proc_mod, "STAGING_IDLE_CAP", cap)
+        n, rec, rounds = 4, 64, 30
+        world = MpiWorld(Cluster(1, n), [(0, g) for g in range(n)])
+        rec_dt = contiguous(rec, BYTE).commit()
+        rng = np.random.default_rng(5)
+        vmax = 96
+        send = [[world.procs[r].ctx.malloc(vmax * rec) for _ in range(n)] for r in range(n)]
+        recv = [[world.procs[r].ctx.malloc(vmax * rec) for _ in range(n)] for r in range(n)]
+        for row in send:
+            for b in row:
+                b.write(rng.integers(0, 256, b.nbytes, dtype=np.uint8))
+        released = []
+        orig = MpiProcess.release_staging
+
+        def release(self, kind, buf, zero_copy_map=False):
+            released.append(buf)
+            orig(self, kind, buf, zero_copy_map)
+            assert self.staging_idle_bytes[kind] <= cap
+
+        monkeypatch.setattr(MpiProcess, "release_staging", release)
+        for _ in range(rounds):
+            counts = rng.integers(1, vmax, size=(n, n))
+
+            def program(mpi, counts=counts):
+                r = mpi.rank
+                yield from alltoallv(
+                    mpi, send[r], rec_dt, counts[r].tolist(),
+                    recv[r], rec_dt, counts[:, r].tolist(),
+                    algorithm=CollAlgorithm.STAGED,
+                )
+
+            world.run({r: program for r in range(n)})
+            for r in range(n):
+                for s in range(n):
+                    k = int(counts[s, r])
+                    assert np.array_equal(
+                        recv[r][s].bytes[: k * rec], send[s][r].bytes[: k * rec]
+                    )
+        # unbounded pooling would have kept every released buffer
+        assert any(b.allocation.freed for b in released)
 
 
 class TestBml:
