@@ -108,13 +108,15 @@ class Convertor:
             plan = PLAN_GATHER
         #: the CPU pack plan this convertor executes
         self.plan = plan
+        # the executor is kept as the plain function: a bound method of
+        # self would make every convertor a reference cycle
         if plan == PLAN_MEMCPY:
             self._origin = base_offset + sp.vector_shape.first_disp
-            self._exec = self._memcpy
+            self._exec = Convertor._memcpy
         elif plan == PLAN_STRIDED2D:
-            self._exec = self._strided
+            self._exec = Convertor._strided
         elif plan == PLAN_GATHER:
-            self._exec = self._gather
+            self._exec = Convertor._gather
         else:
             self._exec = None
             self._fallback()  # misaligned base: stack machine from the start
@@ -244,7 +246,7 @@ class Convertor:
         lo, hi = self.position, self.position + n
         u = self._unit
         if self._stack is None and lo % u == 0 and hi % u == 0:
-            self._exec(buf[:n], lo, hi)
+            self._exec(self, buf[:n], lo, hi)
         else:
             done = self._fallback().advance(buf[:n])
             assert done == n
@@ -309,7 +311,7 @@ class Convertor:
             assert done == hi - lo
             self._rstack_pos = hi
             return
-        self._exec(buf[: hi - lo], lo, hi)
+        self._exec(self, buf[: hi - lo], lo, hi)
 
     def pack_range(self, out: np.ndarray, lo: int, hi: int) -> None:
         """Random-access pack of packed-stream range [lo, hi) (aligned)."""

@@ -4,8 +4,13 @@
 multi-link data transfers, and selects the most suitable BTL for a
 communication based on the current network device" (Section 4).  Here the
 policy is the paper's: shared memory within a node, InfiniBand across
-nodes; endpoints are cached so protocol state (IPC registrations,
-sequence counters) persists across messages.
+nodes.
+
+A BTL is a small value object over its (sender, receiver) pair, built on
+each lookup.  The state that must persist across messages lives on the
+processes — CUDA IPC registrations in ``MpiProcess.ipc_cache``, sequence
+counters behind ``MpiProcess.next_send_seq`` — so the BML keeps no
+per-pair table that would grow with every peer a rank has reached.
 """
 
 from __future__ import annotations
@@ -19,23 +24,11 @@ if TYPE_CHECKING:
     from repro.mpi.btl.base import Btl
     from repro.mpi.proc import MpiProcess
 
-__all__ = ["Bml"]
+__all__ = ["btl_for"]
 
 
-class Bml:
-    """Per-world BTL selector/cache."""
-
-    def __init__(self) -> None:
-        self._endpoints: dict[tuple[int, int], "Btl"] = {}
-
-    def btl_for(self, src: "MpiProcess", dst: "MpiProcess") -> "Btl":
-        """The cached transport endpoint from ``src`` toward ``dst``."""
-        key = (src.rank, dst.rank)
-        btl = self._endpoints.get(key)
-        if btl is None:
-            if src.node is dst.node:
-                btl = SmBtl(src, dst)
-            else:
-                btl = IbBtl(src, dst)
-            self._endpoints[key] = btl
-        return btl
+def btl_for(src: "MpiProcess", dst: "MpiProcess") -> "Btl":
+    """The transport endpoint from ``src`` toward ``dst``."""
+    if src.node is dst.node:
+        return SmBtl(src, dst)
+    return IbBtl(src, dst)

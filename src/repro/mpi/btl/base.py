@@ -30,18 +30,19 @@ __all__ = ["Btl"]
 
 
 class Btl(ABC):
-    """One transport between a fixed (sender, receiver) process pair."""
+    """One transport between a fixed (sender, receiver) process pair.
+
+    A stateless value object: the BML builds one on every lookup, and it
+    dies with the send that used it.
+    """
+
+    __slots__ = ("src", "dst")
 
     name = "base"
 
     def __init__(self, src: "MpiProcess", dst: "MpiProcess") -> None:
         self.src = src
         self.dst = dst
-        self.am_sends = 0
-        self.bytes_sent = 0
-        #: handler -> rendered "am:<handler>" label (one f-string per
-        #: handler instead of one per send)
-        self._am_labels: dict[str, str] = {}
 
     # -- capabilities ------------------------------------------------------
     @property
@@ -97,12 +98,8 @@ class Btl(ABC):
                           header=header if owned else dict(header),
                           payload=data, envelope=envelope)
         nbytes = self.header_cost_bytes + packet.payload_bytes
-        self.am_sends += 1
-        self.bytes_sent += nbytes
         if not label:
-            label = self._am_labels.get(handler)
-            if label is None:
-                label = self._am_labels[handler] = f"am:{handler}"
+            label = f"am:{handler}"
         faults = getattr(self.src, "faults", None)
         if faults is None and _san.RACE is None:
             # fault-free, uninstrumented delivery: the wire future itself

@@ -19,16 +19,14 @@ __all__ = ["IbBtl"]
 class IbBtl(Btl):
     """InfiniBand transport between two ranks on different nodes."""
 
+    __slots__ = ()
+
     name = "ib"
 
     def __init__(self, src, dst) -> None:
         super().__init__(src, dst)
         if src.node is dst.node:
             raise ValueError("ib BTL is for inter-node pairs")
-        self.nic = src.node.nic
-        self.dst_node = dst.node.name
-        #: label -> "ib:<label>" (rendered once per distinct label)
-        self._wire_labels: dict = {}
 
     @property
     def supports_cuda_ipc(self) -> bool:
@@ -36,7 +34,10 @@ class IbBtl(Btl):
 
     @property
     def supports_gpudirect(self) -> bool:
-        return self.nic.gpudirect_rdma and self.src.config.use_gpudirect_rdma
+        return (
+            self.src.node.nic.gpudirect_rdma
+            and self.src.config.use_gpudirect_rdma
+        )
 
     @property
     def header_cost_bytes(self) -> int:
@@ -45,17 +46,14 @@ class IbBtl(Btl):
     def _wire_send(
         self, nbytes: int, label: str, gpudirect: bool = False, payload=None
     ) -> Future:
-        labels = self._wire_labels
-        full = labels.get(label)
-        if full is None:
-            full = labels[label] = f"{self.name}:{label}"
-        return self.nic.send(
-            self.dst_node, nbytes, payload=payload, label=full,
-            gpudirect=gpudirect,
+        return self.src.node.nic.send(
+            self.dst.node.name, nbytes, payload=payload,
+            label=f"{self.name}:{label}", gpudirect=gpudirect,
         )
 
     def gpudirect_send(self, nbytes: int, label: str = "gdr") -> Future:
         """Direct device-memory RDMA over the wire (degraded when large)."""
-        return self.nic.send(
-            self.dst_node, nbytes, label=f"{self.name}:{label}", gpudirect=True
+        return self.src.node.nic.send(
+            self.dst.node.name, nbytes, label=f"{self.name}:{label}",
+            gpudirect=True,
         )

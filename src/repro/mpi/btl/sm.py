@@ -19,15 +19,14 @@ __all__ = ["SmBtl"]
 class SmBtl(Btl):
     """Shared-memory transport between two ranks on one node."""
 
+    __slots__ = ()
+
     name = "sm"
 
     def __init__(self, src, dst) -> None:
         super().__init__(src, dst)
         if src.node is not dst.node:
             raise ValueError("sm BTL requires both ranks on one node")
-        self.link = src.node.shmem_link
-        #: label -> "sm:<label>" (rendered once per distinct label)
-        self._wire_labels: dict = {}
 
     @property
     def supports_cuda_ipc(self) -> bool:
@@ -44,8 +43,6 @@ class SmBtl(Btl):
     def _wire_send(
         self, nbytes: int, label: str, gpudirect: bool = False, payload=None
     ) -> Future:
-        labels = self._wire_labels
-        full = labels.get(label)
-        if full is None:
-            full = labels[label] = f"{self.name}:{label}"
-        return self.link.transfer(nbytes, payload=payload, label=full)
+        return self.src.node.shmem_link.transfer(
+            nbytes, payload=payload, label=f"{self.name}:{label}"
+        )

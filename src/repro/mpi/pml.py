@@ -17,7 +17,7 @@ answers with a CTS, and both sides run the chosen pipeline from
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.cuda.ipc import IpcMemHandle
 from repro.datatype.canonical import canonicalize
 from repro.datatype.ddt import Datatype
 from repro.hw.memory import Buffer
+from repro.mpi.bml import btl_for
 from repro.mpi.matching import PostedRecv
 from repro.mpi.message import Envelope
 from repro.mpi.requests import Status
@@ -223,7 +224,7 @@ def isend_coro(
     dt.commit()
     total = dt.size * count
     dst_proc = world.procs[dest]
-    btl = world.bml.btl_for(proc, dst_proc)
+    btl = btl_for(proc, dst_proc)
     env = Envelope(
         source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
         pair_seq=proc.next_send_seq(dest, comm_id),
@@ -454,7 +455,7 @@ def _matched_recv_coro(
     tid = header["tid"]
     s_info: SideInfo = header["side"]
     src_proc = world.procs[sender_rank]
-    btl_back = world.bml.btl_for(proc, src_proc)
+    btl_back = btl_for(proc, src_proc)
     r_info = describe_side(proc, buf, dt, count)
     protocol = choose_protocol(
         s_info, r_info, btl_back, preferred=s_info.preferred_protocol
@@ -516,10 +517,11 @@ def rts_handler(world: "MpiWorld", proc: "MpiProcess"):
 # placement, protocol, sanitizer, and fault combination.  The two
 # functions below are a hand-scheduled rendering of exactly one slice of
 # it — host buffer, flat-contiguous datatype, eager size, no faults, no
-# sanitizers — chaining plain future callbacks instead of spawning a
-# Process per operation.  They issue the *same* engine transfers in the
-# same order at the same simulated times, so modeled results are
-# bit-identical to the coroutine path; only the Python-side overhead
+# sanitizers — chaining future callbacks on one slotted state object per
+# operation instead of spawning a Process per operation.  They issue the
+# *same* engine transfers in the same order at the same simulated times,
+# so modeled results are bit-identical to the coroutine path
+# (tests/mpi/test_eager_equivalence.py); only the Python-side overhead
 # (two Process allocations and ~6 generator resumptions per message)
 # disappears.  Anything they cannot prove safe falls back to the
 # coroutines, which therefore remain the behavioural reference.
@@ -559,6 +561,39 @@ def _eager_header(proc: "MpiProcess", dt: Datatype, count: int, total: int) -> d
     return header
 
 
+class _EagerSend:
+    """One host-contiguous eager send, advanced by future callbacks.
+
+    The operation's state lives in this one slotted object and its steps
+    are bound methods, so a send allocates no closures and, once its
+    futures resolve, dies by reference counting.
+    """
+
+    __slots__ = ("proc", "btl", "env", "header", "src", "stage", "t0", "done")
+
+    def packed(self, _f: Optional[Future]) -> None:
+        total = len(self.stage)
+        if total:
+            self.stage[0:total] = self.src[:total]
+        wire = self.btl.am_send("pml.rts", self.header, payload=self.stage,
+                                envelope=self.env, owned=True)
+        wire.add_callback(self.sent)
+
+    def sent(self, _f: Future) -> None:
+        proc = self.proc
+        total = len(self.stage)
+        if proc.log_transfers:
+            proc.record_transfer(TransferStats(
+                tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
+                peer=self.env.dest, protocol="eager", mode="",
+                total_bytes=total, frag_bytes=total, fragments=1,
+                max_in_flight=1, start_s=self.t0, end_s=proc.sim.now,
+            ))
+        else:
+            proc.count_transfer("send", "eager", "", total)
+        self.done.resolve(total)
+
+
 def eager_isend_fast(
     world: "MpiWorld",
     proc: "MpiProcess",
@@ -571,65 +606,98 @@ def eager_isend_fast(
 ) -> Future:
     """Host-contiguous eager send as a callback chain (no Process).
 
-    Returns a future resolving with ``None`` at wire delivery — the same
-    completion point and value as the :func:`isend_coro` eager branch.
+    Returns a future resolving with the byte count at wire delivery — the
+    same completion point and value as the :func:`isend_coro` eager branch.
     """
     total = dt.size * count
-    dst_proc = world.procs[dest]
-    btl = world.bml.btl_for(proc, dst_proc)
-    env = Envelope(
+    op = _EagerSend()
+    op.proc = proc
+    op.btl = btl_for(proc, world.procs[dest])
+    op.env = Envelope(
         source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
         pair_seq=proc.next_send_seq(dest, comm_id),
     )
-    header = _eager_header(proc, dt, count, total)
+    op.header = _eager_header(proc, dt, count, total)
+    op.stage = np.empty(total, dtype=np.uint8)
     sim = proc.sim
-    done = Future(sim, label="eager-send")
-    log = proc.log_transfers
-    t0 = sim.now if log else 0.0
+    op.t0 = sim.now if proc.log_transfers else 0.0
+    op.done = done = Future(sim, label="eager-send")
     if total == 0:
-        data = np.empty(0, dtype=np.uint8)
-        wire = btl.am_send("pml.rts", header, payload=data, envelope=env,
-                           owned=True)
-
-        def sent0(_f: Future) -> None:
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
-                    peer=dest, protocol="eager", mode="",
-                    total_bytes=0, frag_bytes=0, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("send", "eager", "", 0)
-            done.resolve(None)
-
-        wire.add_callback(sent0)
-        return done
-    stage = np.empty(total, dtype=np.uint8)
-    src = buf.bytes
-    pack = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-pack")
-
-    def packed(_f: Future) -> None:
-        stage[0:total] = src[:total]
-        wire = btl.am_send("pml.rts", header, payload=stage, envelope=env,
-                           owned=True)
-
-        def sent(_f2: Future) -> None:
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
-                    peer=dest, protocol="eager", mode="",
-                    total_bytes=total, frag_bytes=total, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("send", "eager", "", total)
-            done.resolve(None)
-
-        wire.add_callback(sent)
-
-    pack.add_callback(packed)
+        # zero-byte send: the envelope still travels, the engines don't
+        op.packed(None)
+    else:
+        op.src = buf.bytes
+        proc.node.cpu_memcpy_engine.transfer(
+            total, label="cpu-pack"
+        ).add_callback(op.packed)
     return done
+
+
+class _EagerRecv:
+    """One host-contiguous receive, advanced by future callbacks.
+
+    Slotted state with bound-method steps, like :class:`_EagerSend`.
+    """
+
+    __slots__ = ("world", "proc", "buf", "dt", "count", "result", "env",
+                 "dst", "payload", "total", "t0")
+
+    def matched(self, mf: Future) -> None:
+        env, header, payload, sender_rank = mf._value
+        proc = self.proc
+        if not header["eager"] or header.get("gpudirect", False):
+            # rendezvous (or a gpudirect eager pack): run the coroutine
+            # continuation and mirror its outcome onto ``result``
+            proc.sim.spawn(
+                _matched_recv_coro(
+                    self.world, proc, self.buf, self.dt, self.count,
+                    env, header, payload, sender_rank,
+                ),
+                label="irecv-rest",
+                eager_start=True,
+            ).add_callback(self.finish)
+            return
+        try:
+            _signature_check(header["signature"],
+                             _times(self.dt.signature, self.count))
+        except BaseException as err:
+            self.result.fail(err)
+            return
+        self.env = env
+        self.t0 = proc.sim.now
+        total = self.total = min(self.dt.size * self.count, len(payload))
+        if total == 0:
+            self.unpacked(None)
+            return
+        self.payload = payload
+        proc.node.cpu_memcpy_engine.transfer(
+            total, label="cpu-unpack"
+        ).add_callback(self.unpacked)
+        self.dst = self.buf.bytes
+
+    def unpacked(self, _f: Optional[Future]) -> None:
+        proc = self.proc
+        env = self.env
+        total = self.total
+        if total:
+            self.dst[0:total] = self.payload[:total]
+        if proc.log_transfers:
+            proc.record_transfer(TransferStats(
+                tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
+                peer=env.source, protocol="eager", mode="",
+                total_bytes=total, frag_bytes=total, fragments=1,
+                max_in_flight=1, start_s=self.t0, end_s=proc.sim.now,
+            ))
+        else:
+            proc.count_transfer("recv", "eager", "", total)
+        self.result.resolve(Status(source=env.source, tag=env.tag,
+                                   count_bytes=total))
+
+    def finish(self, f: Future) -> None:
+        if f._exception is not None:
+            self.result.fail(f._exception)
+        else:
+            self.result.resolve(f._value)
 
 
 def eager_irecv_fast(
@@ -650,74 +718,15 @@ def eager_irecv_fast(
     with the :class:`Status`, like :func:`irecv_coro`.
     """
     sim = proc.sim
-    result = Future(sim, label="eager-recv")
+    op = _EagerRecv()
+    op.world = world
+    op.proc = proc
+    op.buf = buf
+    op.dt = dt
+    op.count = count
+    op.result = result = Future(sim, label="eager-recv")
     on_match = Future(sim, label=proc._match_label)
-    want_sig = _times(dt.signature, count)
-    size = dt.size * count
-    log = proc.log_transfers
-
-    def matched(mf: Future) -> None:
-        env, header, payload, sender_rank = mf._value
-        if not header["eager"] or header.get("gpudirect", False):
-            # rendezvous (or a gpudirect eager pack): run the coroutine
-            # continuation and mirror its outcome onto ``result``
-            p = sim.spawn(
-                _matched_recv_coro(
-                    world, proc, buf, dt, count,
-                    env, header, payload, sender_rank,
-                ),
-                label="irecv-rest",
-                eager_start=True,
-            )
-
-            def finish(f: Future) -> None:
-                if f._exception is not None:
-                    result.fail(f._exception)
-                else:
-                    result.resolve(f._value)
-
-            p.add_callback(finish)
-            return
-        try:
-            _signature_check(header["signature"], want_sig)
-        except BaseException as err:
-            result.fail(err)
-            return
-        t0 = sim.now
-        total = min(size, len(payload))
-        if total == 0:
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                    peer=env.source, protocol="eager", mode="",
-                    total_bytes=0, frag_bytes=0, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("recv", "eager", "", 0)
-            result.resolve(Status(source=env.source, tag=env.tag,
-                                  count_bytes=0))
-            return
-        unpack = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-unpack")
-        dst = buf.bytes
-
-        def unpacked(_f: Future) -> None:
-            dst[0:total] = payload[:total]
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                    peer=env.source, protocol="eager", mode="",
-                    total_bytes=total, frag_bytes=total, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("recv", "eager", "", total)
-            result.resolve(Status(source=env.source, tag=env.tag,
-                                  count_bytes=total))
-
-        unpack.add_callback(unpacked)
-
-    on_match.add_callback(matched)
+    on_match.add_callback(op.matched)
     proc.matching.post(
         PostedRecv(source=source, tag=tag, comm_id=comm_id, on_match=on_match)
     )

@@ -78,9 +78,6 @@ class MpiProcess:
         self._rt_counters: dict = {}
         #: pre-rendered label for matching futures (one irecv per message)
         self._match_label: str = f"r{rank}.match"
-        #: per-peer cached isend/irecv process labels (one spawn per message)
-        self._isend_labels: dict = {}
-        self._irecv_labels: dict = {}
         #: reusable eager RTS headers keyed (id(dt), count) — headers are
         #: read-only downstream, so same-shape sends share one dict
         self._eager_hdr_cache: dict = {}

@@ -14,6 +14,7 @@ cluster and runs rank *programs* — generator coroutines receiving a
 
 from __future__ import annotations
 
+import gc
 import time as _time
 from typing import Callable, Optional, Sequence
 
@@ -21,7 +22,6 @@ from repro.datatype.ddt import Datatype
 from repro.faults.plan import FaultPlan
 from repro.hw.memory import Buffer
 from repro.hw.node import Cluster
-from repro.mpi.bml import Bml
 from repro.mpi.comm import Communicator
 from repro.mpi.config import MpiConfig
 from repro.mpi.message import ANY_SOURCE, ANY_TAG
@@ -88,7 +88,7 @@ class _ProcTable:
 
 
 class MpiWorld:
-    """A set of ranks over a cluster, sharing one BML and clock."""
+    """A set of ranks over a cluster, sharing one clock."""
 
     def __init__(
         self,
@@ -112,7 +112,6 @@ class MpiWorld:
         #: scratch tables collectives use to exchange per-call metadata
         #: out-of-band (keyed by (op, seq); see repro.mpi.collectives)
         self._coll_rendezvous: dict = {}
-        self.bml = Bml()
         #: world-wide metrics store; ranks get ``r<rank>.``-scoped views
         self.metrics = MetricsRegistry()
         if self.config.sanitize.any_enabled:
@@ -168,6 +167,8 @@ class MpiWorld:
         #: in the current stats window
         self._run_wall_s = 0.0
         self._sim_elapsed_s = 0.0
+        #: garbage collections per generation during those ``run`` calls
+        self._gc_collections = [0] * len(gc.get_stats())
         #: MPI_COMM_WORLD
         self.comm_world = Communicator(self, comm_id=0)
 
@@ -225,6 +226,7 @@ class MpiWorld:
         if not isinstance(programs, dict):
             programs = dict(enumerate(programs))
         t0 = self.sim.now
+        gc0 = gc.get_stats()
         wall0 = _time.perf_counter()
         procs: list[Process] = []
         for rank, fn in programs.items():
@@ -235,6 +237,8 @@ class MpiWorld:
         elapsed = self.sim.now - t0
         self._run_wall_s += _time.perf_counter() - wall0
         self._sim_elapsed_s += elapsed
+        for g, (a, b) in enumerate(zip(gc0, gc.get_stats())):
+            self._gc_collections[g] += b["collections"] - a["collections"]
         return elapsed
 
     def finalize(self) -> list:
@@ -317,6 +321,7 @@ class MpiWorld:
         ws.peak_queue_depth = sim.peak_queue_depth
         ws.run_wall_s = self._run_wall_s
         ws.sim_elapsed_s = self._sim_elapsed_s
+        ws.gc_collections = tuple(self._gc_collections)
         return ws
 
     def reset_stats(self) -> None:
@@ -334,6 +339,7 @@ class MpiWorld:
         self.sim.reset_peak_depth()
         self._run_wall_s = 0.0
         self._sim_elapsed_s = 0.0
+        self._gc_collections = [0] * len(self._gc_collections)
 
     # -- naive barrier (no wire cost; for test scaffolding) ----------------------
     def _barrier(self, _rank: int) -> Future:
@@ -445,16 +451,12 @@ class RankContext:
                     nbytes,
                 )
             return req
-        labels = self.proc._isend_labels
-        label = labels.get(dest)
-        if label is None:
-            label = labels[dest] = f"isend r{self.rank}->r{dest}"
         proc = self.sim.spawn(
             isend_coro(
                 self.world, self.proc, buf, datatype, count, dest, tag,
                 comm_id=comm_id,
             ),
-            label=label,
+            label=f"isend r{self.rank}->r{dest}",
             eager_start=True,
         )
         req = Request(proc, "send", nbytes)
@@ -488,16 +490,12 @@ class RankContext:
                     nbytes,
                 )
             return req
-        labels = self.proc._irecv_labels
-        label = labels.get(source)
-        if label is None:
-            label = labels[source] = f"irecv r{self.rank}<-r{source}"
         proc = self.sim.spawn(
             irecv_coro(
                 self.world, self.proc, buf, datatype, count, source, tag,
                 comm_id=comm_id,
             ),
-            label=label,
+            label=f"irecv r{self.rank}<-r{source}",
             eager_start=True,
         )
         req = Request(proc, "recv", nbytes)

@@ -215,6 +215,10 @@ class WorldStats:
     run_wall_s: float = 0.0
     #: simulated seconds elapsed across the window's ``run`` calls
     sim_elapsed_s: float = 0.0
+    #: Python garbage collections per generation (youngest first) during
+    #: the window's ``run`` calls — informational: the collector's cadence
+    #: differs between Python versions, so no gate reads it
+    gc_collections: tuple = ()
     #: flat snapshot of the world's metrics registry
     metrics: dict = field(default_factory=dict)
 
@@ -329,6 +333,7 @@ class WorldStats:
             "run_wall_s": self.run_wall_s,
             "sim_elapsed_s": self.sim_elapsed_s,
             "events_per_wall_s": self.events_per_wall_s,
+            "gc_collections": list(self.gc_collections),
             "credit_wait_s": self.credit_wait_s,
             "retransmits": self.retransmits,
             "dup_drops": self.dup_drops,
@@ -361,6 +366,9 @@ class WorldStats:
             )
             if self.run_wall_s > 0.0:
                 line += f", {self.events_per_wall_s:,.0f} events/s wall"
+            if self.gc_collections:
+                gens = "/".join(str(n) for n in self.gc_collections)
+                line += f", gc collections by generation {gens}"
             lines.append(line)
         colls = self.coll_ops
         if colls:

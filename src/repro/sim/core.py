@@ -253,7 +253,9 @@ class Process(Future):
             self._san_actor = _san.RACE.on_spawn(self.label)
         # one closure each for the whole process lifetime (reused on every
         # cooperative yield / wait) instead of a fresh lambda per step;
-        # late-bound attribute lookup so dispatch rebinding still applies
+        # late-bound attribute lookup so dispatch rebinding still applies.
+        # Both close over self, so the step that finishes the process
+        # drops them: a finished process is not a reference cycle
         self._step0 = lambda: self._step(None, None)
         self._resume = lambda fut: self._resume_from(fut)
         if eager_start:
@@ -294,12 +296,11 @@ def _process_step_fast(
         else:
             target = self._gen.send(value)
     except StopIteration as stop:
+        self._step0 = self._resume = None
         self.resolve(stop.value)
         return
-    except ProcessKilled as killed:
-        self.fail(killed)
-        return
-    except BaseException as err:  # propagate into waiters
+    except BaseException as err:  # kills too: propagate into waiters
+        self._step0 = self._resume = None
         self.fail(err)
         return
 
@@ -338,12 +339,11 @@ def _process_step_san(
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
+            self._step0 = self._resume = None
             self.resolve(stop.value)
             return
-        except ProcessKilled as killed:
-            self.fail(killed)
-            return
-        except BaseException as err:  # propagate into waiters
+        except BaseException as err:  # kills too: propagate into waiters
+            self._step0 = self._resume = None
             self.fail(err)
             return
     finally:
@@ -682,6 +682,32 @@ class Simulator:
         return proc.value
 
 
+class _AllOf:
+    """:func:`all_of`'s countdown, shared by all of its inputs.
+
+    One slotted object and one bound method per call, so pending inputs
+    hold no closures; the values are read off the inputs once the last
+    one resolves.
+    """
+
+    __slots__ = ("result", "futures", "remaining")
+
+    def arrived(self, fut: Future) -> None:
+        result = self.result
+        if result.done:
+            return
+        if fut.failed:
+            # inputs still pending point back here; let go of them
+            self.futures = None
+            result.fail(fut.exception)
+            return
+        if _san.RACE is not None:
+            result._san_snap = _san.RACE.merge(result._san_snap, fut._san_snap)
+        self.remaining -= 1
+        if self.remaining == 0:
+            result.resolve([f._value for f in self.futures])
+
+
 def all_of(sim: Simulator, futures: Iterable[Future], label: str = "") -> Future:
     """A future resolving with the list of all values once every input resolves.
 
@@ -692,27 +718,13 @@ def all_of(sim: Simulator, futures: Iterable[Future], label: str = "") -> Future
     if not futures:
         result.resolve([])
         return result
-    remaining = [len(futures)]
-    values: list[Any] = [None] * len(futures)
-
-    def make_cb(i: int) -> Callable[[Future], None]:
-        def cb(fut: Future) -> None:
-            if result.done:
-                return
-            if fut.failed:
-                result.fail(fut.exception)
-                return
-            values[i] = fut._value
-            if _san.RACE is not None:
-                result._san_snap = _san.RACE.merge(result._san_snap, fut._san_snap)
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                result.resolve(values)
-
-        return cb
-
-    for i, fut in enumerate(futures):
-        fut.add_callback(make_cb(i))
+    countdown = _AllOf()
+    countdown.result = result
+    countdown.futures = futures
+    countdown.remaining = len(futures)
+    arrived = countdown.arrived
+    for fut in futures:
+        fut.add_callback(arrived)
     return result
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.datatype.primitives import DOUBLE
 from repro.hw.node import Cluster
 from repro.mpi.btl.ib import IbBtl
 from repro.mpi.btl.sm import SmBtl
-from repro.mpi.bml import Bml
+from repro.mpi.bml import btl_for
 from repro.mpi.config import MpiConfig
 from repro.mpi import proc as proc_mod
 from repro.mpi.pml import _signature_check
@@ -235,18 +237,32 @@ class TestStagingPool:
 
 
 class TestBml:
-    def test_selection_and_caching(self):
+    def test_selection_without_per_pair_state(self):
         c = Cluster(2, 1)
         cfg = MpiConfig()
         p0 = MpiProcess(0, c.nodes[0], c.nodes[0].gpus[0], cfg)
         p1 = MpiProcess(1, c.nodes[1], c.nodes[1].gpus[0], cfg)
         p2 = MpiProcess(2, c.nodes[0], None, cfg)
-        bml = Bml()
-        assert isinstance(bml.btl_for(p0, p1), IbBtl)
-        assert isinstance(bml.btl_for(p0, p2), SmBtl)
-        assert bml.btl_for(p0, p1) is bml.btl_for(p0, p1)  # cached
-        # direction matters (separate endpoints)
-        assert bml.btl_for(p0, p1) is not bml.btl_for(p1, p0)
+        assert isinstance(btl_for(p0, p1), IbBtl)
+        assert isinstance(btl_for(p0, p2), SmBtl)
+        # direction matters: each endpoint sends from its own side
+        fwd, back = btl_for(p0, p1), btl_for(p1, p0)
+        assert (fwd.src, fwd.dst) == (p0, p1)
+        assert (back.src, back.dst) == (p1, p0)
+        # a lookup leaves no per-pair state behind: endpoints are slotted
+        # values built per call (no instance dict to cache labels in),
+        # and looking up every ordered pair of a 16-rank world keeps
+        # nothing alive
+        assert not hasattr(fwd, "__dict__")
+        c = Cluster(2, 0)
+        ranks = [MpiProcess(r, c.nodes[r % 2], None, cfg) for r in range(16)]
+        gc.collect()
+        before = len(gc.get_objects())
+        for a in ranks:
+            for b in ranks:
+                btl_for(a, b)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 16
 
 
 class TestAmDispatch:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
-from repro.datatype.convertor import pack_bytes
+from repro.datatype.convertor import Convertor, pack_bytes
 from repro.datatype.ddt import contiguous, vector
-from repro.datatype.primitives import DOUBLE
+from repro.datatype.primitives import BYTE, DOUBLE
 from repro.hw.node import Cluster
+from repro.mpi.btl.base import Btl
 from repro.mpi.config import MpiConfig
 from repro.mpi.world import MpiWorld
+from repro.sim.core import Process
 from repro.workloads.matrices import lower_triangular_type, submatrix_type
 
 
@@ -265,6 +270,89 @@ class TestSteadyStateReuse:
         assert times[0] > times[1]
         assert times[1] == pytest.approx(times[2]) == pytest.approx(times[3])
 
+    def test_heap_does_not_grow_with_new_peers(self):
+        """Seeded ring shifts keep reaching new rank pairs; nothing the
+        message path keeps may grow with them (no per-pair tables)."""
+        n, nb = 64, 64
+        world = MpiWorld(
+            Cluster(4, 0), [(r // 16, None) for r in range(n)],
+            MpiConfig(transfer_log=False),
+        )
+        dt = contiguous(nb, BYTE).commit()
+        sbufs = [alloc(world, r, nb) for r in range(n)]
+        rbufs = [alloc(world, r, nb) for r in range(n)]
+        shifts = np.random.default_rng(7).integers(1, n, size=(30, 2)).tolist()
+
+        def program(mpi):
+            r = mpi.rank
+            for k, s in enumerate(shifts[rnd]):
+                sreq = mpi.isend(sbufs[r], dt, 1, dest=(r + s) % n, tag=k)
+                rreq = mpi.irecv(rbufs[r], dt, 1, source=(r - s) % n, tag=k)
+                yield mpi.wait_all(sreq, rreq)
+
+        tracked = {}
+        for rnd in range(30):
+            world.run([program] * n)
+            if rnd + 1 in (10, 30):
+                gc.collect()
+                tracked[rnd + 1] = len(gc.get_objects())
+        # a per-pair endpoint table grows by ~1200 objects over these rounds
+        assert tracked[30] - tracked[10] < 64
+
+    @pytest.mark.parametrize("case", [
+        "host-eager", "device-eager", "ipc_rdma", "copyinout",
+    ])
+    def test_message_path_leaves_no_cyclic_garbage(self, case, rng):
+        """Every per-message object dies by reference counting: a round
+        run with the collector off leaves no repro cycle for it."""
+        kind, n, protocol = {
+            "host-eager": ("cpu", 64, "eager"),
+            "device-eager": ("sm-2gpu", 64, "eager"),
+            "ipc_rdma": ("sm-2gpu", 16384, "ipc_rdma"),
+            "copyinout": ("ib", 16384, "copyinout"),
+        }[case]
+        world = make_world(kind)
+        # one contiguous and one strided message (the convertor or GPU
+        # engine path) per round
+        C = contiguous(n, DOUBLE).commit()
+        V = vector(n // 2, 1, 2, DOUBLE).commit()
+        b0 = alloc(world, 0, C.size)
+        b0.write(rng.random(n))
+        b1 = alloc(world, 1, C.size)
+        b2 = alloc(world, 1, C.size)
+
+        def s(mpi):
+            yield mpi.wait_all(mpi.isend(b0, C, 1, dest=1, tag=1),
+                               mpi.isend(b0, V, 1, dest=1, tag=2))
+
+        def r(mpi):
+            yield mpi.wait_all(mpi.irecv(b1, C, 1, source=0, tag=1),
+                               mpi.irecv(b2, V, 1, source=0, tag=2))
+
+        world.run([s, r])  # warm-up: ranks, engines, IPC registrations
+        world.reset_stats()
+        gc.collect()
+        gc.disable()
+        try:
+            world.run([s, r])
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sorted({
+                type(o).__qualname__ if not isinstance(o, types.FunctionType)
+                else o.__qualname__
+                for o in gc.garbage
+                if isinstance(o, (Process, Convertor, Btl))
+                or (isinstance(o, types.FunctionType) and o.__closure__
+                    and (o.__module__ or "").startswith("repro"))
+            })
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert world.stats().by_protocol.get(protocol) == 4
+        assert np.array_equal(b1.bytes, b0.bytes)
+        assert not leaked
+
 
 class TestWorldScaleObservability:
     """The simulator-core counters WorldStats reports per stats window."""
@@ -325,6 +413,35 @@ class TestWorldScaleObservability:
         assert not ws.transfers  # log off: no per-transfer records
         # ... but the protocol mix is rebuilt from the metric counters
         assert ws.by_protocol.get("eager") == 2  # one send + one recv
+
+    def test_stats_count_gc_collections_per_window(self):
+        world = make_world("cpu")
+        C = contiguous(256, DOUBLE).commit()
+        b0 = alloc(world, 0, C.size)
+        b1 = alloc(world, 1, C.size)
+
+        def s(mpi):
+            gc.collect()  # one full collection inside the window
+            yield mpi.send(b0, C, 1, dest=1, tag=5)
+
+        def r(mpi):
+            yield mpi.recv(b1, C, 1, source=0, tag=5)
+
+        gc.collect()  # between runs: not counted
+        gc.disable()  # no automatic collection may land in the window
+        try:
+            world.run([s, r])
+        finally:
+            gc.enable()
+        ws = world.stats()
+        gens = len(gc.get_stats())
+        assert ws.gc_collections == (0,) * (gens - 1) + (1,)
+        assert ws.to_dict()["gc_collections"] == list(ws.gc_collections)
+        events = [ln for ln in ws.summary().splitlines()
+                  if ln.startswith("events:")]
+        assert "gc collections by generation" in events[0]
+        world.reset_stats()
+        assert world.stats().gc_collections == (0,) * gens
 
     def test_world_builds_lazily(self):
         world = make_world("cpu")
