@@ -15,7 +15,7 @@ into a coroutine or mailbox.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.sanitize import runtime as _san
 from repro.sim.core import Future
 
 if TYPE_CHECKING:
+    from repro.hw.memory import Buffer
     from repro.mpi.proc import MpiProcess
 
 __all__ = ["Btl"]
@@ -71,32 +72,39 @@ class Btl(ABC):
         self,
         handler: str,
         header: dict[str, Any],
-        payload: Optional[np.ndarray] = None,
+        payload: Union[Buffer, np.ndarray, None] = None,
         envelope: Optional[Envelope] = None,
         label: str = "",
         gpudirect: bool = False,
-        owned: bool = False,
     ) -> Future:
         """Send an AM; the returned future resolves at *delivery*.
 
-        The payload is snapshotted at call time (DMA-read semantics).
+        Nothing is copied at send time: the packet carries ``header`` and
+        ``payload`` themselves, and the receiver's copy (the deposit into
+        its posted staging, or its unpack) is the wire's only one.  The
+        caller therefore leaves both unchanged until the receiver has
+        consumed them (:class:`~repro.mpi.message.AmPacket`).  Each
+        caller meets that as follows:
+
+        * **copy-in/out** — a host-ring slot is repacked only after the
+          credit from the ACK of the fragment it held, and the receiver
+          sends that ACK after depositing the fragment (links are FIFO,
+          and one sequential loop receives, so ACKs return in order).
+        * **host pipeline, contiguous** — the payload is the user's send
+          buffer, which MPI forbids changing before the send completes;
+          the send completes after the last ACK.  Strided sends pack
+          into a pooled ring under the same credit rule as copy-in/out.
+        * **eager** — every message sends a freshly packed array.
+        * **under an active fault plan** —
+          :meth:`~repro.mpi.protocols.common.TransferState.send_frag`
+          snapshots each fragment, because a retransmission must resend
+          the original bytes after the slot has moved on
+          (docs/ROBUSTNESS.md).  That is the only send-side copy.
+
         With ``gpudirect`` the NIC reads/writes device memory directly
         (only meaningful on transports that support it).
-
-        ``owned=True`` asserts the caller hands over both ``payload``
-        (already a ``uint8`` array it will not touch again) and
-        ``header`` (a fresh dict), skipping the defensive copies — the
-        eager path's freshly packed stage qualifies.
         """
-        if payload is None:
-            data = None
-        elif owned and isinstance(payload, np.ndarray) and payload.dtype == np.uint8:
-            data = payload
-        else:
-            data = np.array(payload, dtype=np.uint8)
-        packet = AmPacket(handler=handler,
-                          header=header if owned else dict(header),
-                          payload=data, envelope=envelope)
+        packet = AmPacket(handler, header, payload, envelope)
         nbytes = self.header_cost_bytes + packet.payload_bytes
         if not label:
             label = f"am:{handler}"

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.hw.memory import Buffer
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Envelope", "AmPacket"]
 
@@ -65,9 +68,19 @@ class Envelope:
 class AmPacket:
     """One Active Message: handler name, small header, optional payload.
 
-    The payload, when present, is a *snapshot* of the bytes at send time
-    (the BTL copies out of the user/staging buffer), matching real
-    transports where the NIC DMA-reads the send buffer at issue.
+    Neither the header nor the payload is copied at send time.  The
+    payload is a view of the sender's bytes, and the receiver's copy out
+    of it (a deposit into posted staging, or an unpack) is the one copy
+    the wire makes.  The sender leaves header and payload unchanged until
+    the receiver has consumed them; :meth:`repro.mpi.btl.base.Btl.am_send`
+    says how each protocol keeps that promise.
+
+    A rendezvous fragment's payload is the sender's segment as a
+    :class:`~repro.hw.memory.Buffer`, so the receiver reads it through
+    ``Buffer.bytes`` and the sanitizers see that read (a freed or reused
+    segment is reported).  An eager message's payload, and a fragment
+    snapshotted for retransmission, is a ``uint8`` array that only this
+    packet references.
     """
 
     __slots__ = ("handler", "header", "payload", "envelope")
@@ -76,7 +89,7 @@ class AmPacket:
         self,
         handler: str,
         header: dict[str, Any],
-        payload: Optional[np.ndarray] = None,
+        payload: Union[Buffer, np.ndarray, None] = None,
         envelope: Optional[Envelope] = None,
     ) -> None:
         self.handler = handler
@@ -86,6 +99,7 @@ class AmPacket:
 
     @property
     def payload_bytes(self) -> int:
+        # Buffer and ndarray both expose ``nbytes``
         return 0 if self.payload is None else int(self.payload.nbytes)
 
     def __repr__(self) -> str:

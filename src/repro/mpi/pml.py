@@ -247,11 +247,8 @@ def isend_coro(
         }
         # the NIC reads device memory directly under GPUDirect (degraded
         # rate beyond the ~30 KB crossover, at wire speed below it)
-        # owned: the freshly packed stage and literal header are handed
-        # over, so the BTL skips its defensive copies
         yield btl.am_send(
-            "pml.rts", header, payload=data, envelope=env, gpudirect=gdr,
-            owned=True,
+            "pml.rts", header, payload=data, envelope=env, gpudirect=gdr
         )
         mode = "gpudirect" if gdr else ""
         if proc.log_transfers:
@@ -576,7 +573,7 @@ class _EagerSend:
         if total:
             self.stage[0:total] = self.src[:total]
         wire = self.btl.am_send("pml.rts", self.header, payload=self.stage,
-                                envelope=self.env, owned=True)
+                                envelope=self.env)
         wire.add_callback(self.sent)
 
     def sent(self, _f: Future) -> None:

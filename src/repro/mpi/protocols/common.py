@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.cuda.ipc import IpcMemHandle
 from repro.datatype.convertor import Convertor
 from repro.datatype.ddt import Datatype
@@ -27,6 +25,8 @@ __all__ = [
     "TransferState",
     "CpuSideJob",
     "byte_ranges",
+    "host_ring",
+    "deposit",
     "describe_side",
     "choose_protocol",
     "feasible_protocols",
@@ -80,11 +80,17 @@ class SideInfo:
 def describe_side(
     proc: "MpiProcess", buf: Buffer, dt: Datatype, count: int
 ) -> SideInfo:
-    """Build the handshake description of one endpoint's buffer."""
+    """Build the handshake description of one endpoint's buffer.
+
+    ``contiguous`` means the packed stream *is* the buffer's first
+    ``total`` bytes, which the contiguous fast paths read or write in
+    place.  Past one element that also needs ``extent == size``: a
+    resized contiguous type strides its elements apart.
+    """
     return SideInfo(
         loc="device" if buf.is_device else "host",
         gpu_name=buf.device.name if buf.is_device else None,
-        contiguous=dt.is_contiguous,
+        contiguous=dt.is_contiguous and (count == 1 or dt.extent == dt.size),
         total=dt.size * count,
     )
 
@@ -131,6 +137,41 @@ def byte_ranges(total: int, frag: int) -> list[tuple[int, int]]:
     if total == 0:
         return []
     return [(lo, min(lo + frag, total)) for lo in range(0, total, frag)]
+
+
+def host_ring(state: "TransferState", zero_copy: bool = False):
+    """Acquire the pooled host staging ring and its ``depth`` slots.
+
+    Fragment ``i`` lives in slot ``i % depth``.  A slot holds a sent
+    fragment until that fragment's ACK returns its credit, since the
+    receiver reads the fragment in place (see ``Btl.am_send``).
+    ``zero_copy`` UMA-maps the ring for the GPU.
+    """
+    nbytes = state.frag_bytes * state.depth
+    ring = state.proc.acquire_staging("host", nbytes, zero_copy_map=zero_copy)
+    segs = [
+        ring[i * state.frag_bytes : (i + 1) * state.frag_bytes]
+        for i in range(state.depth)
+    ]
+    return ring, segs
+
+
+def deposit(payload, seg: Buffer) -> None:
+    """The wire's one copy of a fragment: into the receiver's posted ``seg``.
+
+    A :class:`Buffer` payload is the sender's ring slot, read in place
+    through ``Buffer.bytes`` (a freed slot is a use-after-free); the race
+    detector records that read and the write into ``seg``, so a slot the
+    sender reused before this deposit is an unordered access.  An array
+    payload is a retransmission snapshot.
+    """
+    n = seg.nbytes
+    wire = isinstance(payload, Buffer)
+    if _san.RACE is not None:
+        if wire:
+            _san.RACE.record(payload, 0, n, False, label="wire-read")
+        _san.RACE.record(seg, 0, n, True, label="wire-deposit")
+    seg.bytes[:] = (payload.bytes if wire else payload)[:n]
 
 
 @dataclass
@@ -294,19 +335,22 @@ class TransferState:
             if not w.done:
                 w.fail(exc)
 
-    def send_frag(self, header: dict, payload=None) -> None:
+    def send_frag(self, header: dict, payload: Optional[Buffer] = None) -> None:
         """Send a ``frag`` notification, retransmitting until ACKed.
 
-        Without the reliability layer this is a plain fire-and-forget
-        ``am_send``; with it, an exponential-backoff watchdog re-sends
-        the notification while the fragment id stays unACKed, and fails
-        the transfer after ``retry.max_retries`` attempts.
+        ``payload`` is the sender's segment holding the fragment; the
+        receiver reads it in place.  Without the reliability layer this
+        is a plain fire-and-forget ``am_send``; with it, an
+        exponential-backoff watchdog re-sends the notification while the
+        fragment id stays unACKed, and fails the transfer after
+        ``retry.max_retries`` attempts.
         """
         if self.reliable and payload is not None:
             # own snapshot: a retransmission must resend the *original*
-            # bytes even after the staging buffer underneath the caller's
-            # view has been reused for a later fragment
-            payload = np.array(payload, dtype=np.uint8)
+            # bytes even after the segment has been reused for a later
+            # fragment (the credit window orders reuse after the ACK only
+            # when nothing is lost, duplicated or late)
+            payload = payload.bytes.copy()
         # vector-clock snapshot of the sending context: a retransmission
         # fires from a bare timer (no actor), but it still happens-after
         # everything the original send did (the pack of this fragment)

@@ -17,20 +17,15 @@ one process uses device memory while the other only uses host memory").
 
 from __future__ import annotations
 
-from repro.mpi.protocols.common import CpuSideJob, SideInfo, TransferState
+from repro.mpi.protocols.common import (
+    CpuSideJob,
+    SideInfo,
+    TransferState,
+    deposit,
+    host_ring,
+)
 
 __all__ = ["sender", "receiver"]
-
-
-def _ring(state: TransferState, zero_copy: bool):
-    """Acquire the host staging ring (optionally UMA-mapped) and segments."""
-    nbytes = state.frag_bytes * state.depth
-    ring = state.proc.acquire_staging("host", nbytes, zero_copy_map=zero_copy)
-    segs = [
-        ring[i * state.frag_bytes : (i + 1) * state.frag_bytes]
-        for i in range(state.depth)
-    ]
-    return ring, segs
 
 
 def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
@@ -47,7 +42,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
 
     on_device = s_info.loc == "device"
     zero_copy = on_device and cfg.zero_copy
-    ring, segs = _ring(state, zero_copy)
+    ring, segs = host_ring(state, zero_copy)
     dev_stage = None
     if on_device and not zero_copy:
         dev_stage = proc.acquire_staging(
@@ -73,9 +68,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
                     yield proc.gpu.memcpy_d2h(seg, dseg)
             else:
                 yield job.process_range(lo, hi, seg)
-            state.send_frag(
-                {"i": i, "lo": lo, "hi": hi}, payload=seg.bytes
-            )
+            state.send_frag({"i": i, "lo": lo, "hi": hi}, payload=seg)
         yield all_acked
     finally:
         state.proc.release_staging("host", ring, zero_copy_map=zero_copy)
@@ -106,7 +99,7 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
         return state.total
     on_device = r_info.loc == "device"
     zero_copy = on_device and cfg.zero_copy
-    ring, segs = _ring(state, zero_copy)
+    ring, segs = host_ring(state, zero_copy)
     dev_stage = None
     if on_device and not zero_copy:
         dev_stage = proc.acquire_staging("device", state.frag_bytes * state.depth)
@@ -124,8 +117,8 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
             state.frag_begin()
             i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
             seg = segs[i % state.depth][: hi - lo]
-            # the wire deposited the fragment into our posted staging
-            seg.bytes[:] = pkt.payload[: hi - lo]
+            # the wire deposits the fragment into our posted staging
+            deposit(pkt.payload, seg)
             if on_device:
                 frag = job.range_fragment(i, lo, hi)
                 if zero_copy:

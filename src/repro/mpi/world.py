@@ -234,6 +234,10 @@ class MpiWorld:
             procs.append(self.sim.spawn(fn(mpi), label=f"rank{rank}"))
         done = all_of(self.sim, procs, label="world.run")
         self.sim.run_until_complete(done, limit=limit)
+        if _san.RACE is not None:
+            # the caller resumes after every rank's program, so the next
+            # run (spawned from the caller) happens after this one
+            _san.RACE.join_actor(_san.RACE.current, done._san_snap)
         elapsed = self.sim.now - t0
         self._run_wall_s += _time.perf_counter() - wall0
         self._sim_elapsed_s += elapsed

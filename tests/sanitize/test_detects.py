@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.datatype.ddt import vector
+from repro.datatype.primitives import DOUBLE
 from repro.gpu_engine.work_units import WorkUnits
 from repro.hw.memory import Buffer, Memory, MemoryKind
 from repro.sanitize import SanitizeOptions, SanitizerError
@@ -99,6 +101,37 @@ def test_slot_reuse_without_ack_caught(monkeypatch):
     races = rep.by_code("race.unordered_access")
     assert races, "removing the slot_free gate must surface the ring race"
     assert any("no happens-before edge" in v.message for v in races)
+
+
+def test_slot_reuse_before_deposit_caught(monkeypatch):
+    """Bug: the copy-in/out sender repacks a host-ring slot before the
+    receiver has deposited the fragment it holds (the credit window
+    bypassed).  The receiver reads each fragment in place from the
+    sender's ring, so the repack races that wire read."""
+    from repro.mpi.config import MpiConfig
+    from repro.mpi.protocols.common import TransferState
+    from repro.sim.core import Future
+    from tests.mpi.test_chaos import faulted_roundtrip
+
+    def no_window(self):
+        fut = Future(self.proc.sim, label="credit-window-bypassed")
+        fut.resolve(None)
+        return fut
+
+    monkeypatch.setattr(TransferState, "acquire_credit", no_window)
+    dt = vector(256, 32, 48, DOUBLE).commit()  # 64 KB: 16 fragments, 2 slots
+    with sanitize.enabled(SanitizeOptions.all(mode="record")) as rep:
+        faulted_roundtrip(
+            "ib",
+            MpiConfig(frag_bytes=4096, pipeline_depth=2, eager_limit=0),
+            dt=dt,
+        )
+    races = [
+        v for v in rep.by_code("race.unordered_access")
+        if "node0.host" in v.message and "'staging'" in v.message
+    ]
+    assert races, "a slot reused before its deposit must race the wire read"
+    assert any("wire-read" in v.message for v in races)
 
 
 def test_overlapping_dev_list_caught(cluster, monkeypatch):
