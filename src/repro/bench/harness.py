@@ -249,16 +249,13 @@ def alltoall_times(
     gpus_per_node: int = 2,
     iters: int = 2,
     config: Optional[MpiConfig] = None,
-    tuner=None,
 ) -> dict[str, float]:
     """Simulated seconds per collective algorithm for one alltoall.
 
     Each algorithm gets a fresh ``n_nodes x gpus_per_node`` world with
     device buffers of ``block_bytes`` per peer; the first iteration is a
     warm-up (IPC registration, staging-pool fill) and the remaining
-    ``iters`` are averaged.  Keys are ``CollAlgorithm`` values.  An
-    explicit ``tuner`` is shared by every world (training harnesses
-    accumulate one table across algorithm sweeps).
+    ``iters`` are averaged.  Keys are ``CollAlgorithm`` values.
     """
     from repro.datatype.primitives import DOUBLE
     from repro.datatype.ddt import contiguous
@@ -273,7 +270,7 @@ def alltoall_times(
         placements = [
             (n, g) for n in range(n_nodes) for g in range(gpus_per_node)
         ]
-        world = MpiWorld(cluster, placements, config=config, tuner=tuner)
+        world = MpiWorld(cluster, placements, config=config)
         rng = np.random.default_rng(13)
         sendbufs, recvbufs = [], []
         for r in range(size):

@@ -695,90 +695,3 @@ def _traffic_mix(profile: Profile) -> dict[str, float]:
     out = run_traffic(spec)
     assert out["cache_hits"] > 0, "tenants should share cached descriptors"
     return out
-
-
-@scenario("traffic_tuned")
-def _traffic_tuned(profile: Profile) -> dict[str, float]:
-    """Autotuned traffic replay vs the best static configuration.
-
-    Trains an observe-mode tuner by replaying the same traffic under
-    each static (frag, depth) candidate — with a ``use_cuda_ipc=False``
-    leg so the manual-pack copy-in/out baseline is a sampled choice —
-    then replays once more deciding from the frozen table.  The
-    acceptance bar: the tuned replay matches or beats the best static
-    candidate (small slack for per-band decisions that optimize
-    messages, not the whole-replay critical path).
-    """
-    from repro.tune import Autotuner, DecisionTable
-    from repro.workloads.traffic import TrafficSpec, run_traffic
-
-    spec = TrafficSpec(rounds=profile.pick(5, 3), tenants=3)
-    candidates = profile.pick(
-        [(256 << 10, 2), (1 << 20, 4), (4 << 20, 8)],
-        [(256 << 10, 2), (1 << 20, 4)],
-    )
-    observe = Autotuner(DecisionTable(), mode="observe")
-    out: dict[str, float] = {}
-    best = None
-    for frag, depth in candidates:
-        base = MpiConfig(frag_bytes=frag, pipeline_depth=depth)
-        for cfg, label in (
-            (base, f"f{frag >> 10}k_d{depth}"),
-            (base.but(use_cuda_ipc=False), f"f{frag >> 10}k_d{depth}_cio"),
-        ):
-            t = run_traffic(spec, config=cfg, tuner=observe)["elapsed_s"]
-            out[f"static_{label}_s"] = t
-            best = t if best is None else min(best, t)
-    tuned_tuner = Autotuner(observe.table, mode="on")
-    tuned = run_traffic(spec, tuner=tuned_tuner)["elapsed_s"]
-    assert tuned <= best * 1.02, (
-        f"tuned replay {tuned:.6f}s regressed past best static {best:.6f}s"
-    )
-    out["tuned_s"] = tuned
-    out["best_static_s"] = best
-    out["tuned_vs_best"] = tuned / best
-    return out
-
-
-@scenario("autotune_coll")
-def _autotune_coll(profile: Profile) -> dict[str, float]:
-    """Tuned ``"auto"`` alltoall vs the explicit algorithm ladder.
-
-    Per size: time every tunable rung, record the measured wall time of
-    each into a decision table, then run ``"auto"`` deciding from the
-    frozen table — the tuned pick is choosing *among* the explicit
-    rungs against exactly the metric being gated, so it must reproduce
-    the best one bit-for-bit.
-    """
-    from repro.bench.harness import alltoall_times
-    from repro.mpi.collectives import CollAlgorithm
-    from repro.tune import Autotuner, DecisionTable
-
-    sizes = profile.pick(
-        [4 << 10, 16 << 10, 64 << 10, 256 << 10], [4 << 10, 64 << 10]
-    )
-    algos = [
-        CollAlgorithm.STAGED, CollAlgorithm.NONBLOCKING, CollAlgorithm.DIRECT
-    ]
-    observe = Autotuner(DecisionTable(), mode="observe")
-    statics = {}
-    for nbytes in sizes:
-        times = alltoall_times(nbytes, algos)
-        statics[nbytes] = times
-        # train on the wall time per iteration — the gated metric itself
-        peer = max(nbytes // 8, 1) * 8
-        key = observe.coll_key("alltoall", peer, True, n_nodes=2, size=4)
-        for algo, t in times.items():
-            observe.observe_coll(key, algo, t, peer * 4)
-    tuned_tuner = Autotuner(observe.table, mode="on")
-    out: dict[str, float] = {}
-    for nbytes in sizes:
-        tuned = alltoall_times(nbytes, ["auto"], tuner=tuned_tuner)["auto"]
-        best = min(statics[nbytes].values())
-        assert tuned <= best, (
-            f"tuned auto alltoall at {nbytes}B took {tuned:.6f}s, best "
-            f"explicit rung {best:.6f}s"
-        )
-        out[f"{nbytes >> 10}kb_tuned_s"] = tuned
-        out[f"{nbytes >> 10}kb_best_static_s"] = best
-    return out

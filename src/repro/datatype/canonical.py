@@ -247,7 +247,7 @@ class StreamPlan:
         self.vector_shape = form.vector_shape
         #: cheapest CPU plan for a unit-aligned base offset
         self.cpu_plan = select_cpu_plan(form, unit)
-        #: cheapest GPU plan when no tuner or ablation overrides it
+        #: cheapest GPU plan when the DEV-path ablation does not pin it
         self.gpu_plan = select_gpu_plan(form)
         self._gather: Optional[np.ndarray] = None
 
@@ -382,12 +382,9 @@ _GPU_DEV_PREP_COST = 24.0
 
 
 def feasible_gpu_plans(form: CanonicalForm) -> tuple[str, ...]:
-    """Every GPU plan able to execute ``form`` exactly.
-
-    The menu :func:`select_gpu_plan` chooses from by modelled cost, and
-    the menu the autotuner (:mod:`repro.tune`) may re-rank by *measured*
-    cost — learned history must never make an infeasible plan choosable.
-    """
+    """Every GPU plan able to execute ``form`` exactly: the menu
+    :func:`select_gpu_plan` chooses from by modelled cost.  The empty
+    form packs zero bytes — call it a memcpy."""
     if form.kind == "empty":
         return (PLAN_MEMCPY,)
     if form.kind == "contig":
@@ -401,12 +398,10 @@ def select_gpu_plan(form: CanonicalForm, force_dev: bool = False) -> str:
     """Cheapest feasible GPU pack plan for ``form``.
 
     ``force_dev`` pins the generic CUDA_DEV path (the paper's ablation
-    knob).  The empty form packs zero bytes — call it a memcpy.
+    knob).
     """
     if force_dev:
         return PLAN_GATHER
-    if form.kind == "empty":
-        return PLAN_MEMCPY
 
     def cost(plan: str) -> float:
         c = plan_cost(form, plan)
@@ -414,9 +409,4 @@ def select_gpu_plan(form: CanonicalForm, force_dev: bool = False) -> str:
             c += form.blocks * _GPU_DEV_PREP_COST
         return c
 
-    feasible = [PLAN_GATHER]
-    if form.kind == "contig":
-        feasible.append(PLAN_MEMCPY)
-    elif form.kind == "vector":
-        feasible.append(PLAN_VECTOR_KERNEL)
-    return min(feasible, key=cost)
+    return min(feasible_gpu_plans(form), key=cost)

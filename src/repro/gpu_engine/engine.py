@@ -29,7 +29,6 @@ from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
     PLAN_VECTOR_KERNEL,
-    feasible_gpu_plans,
 )
 from repro.datatype.convertor import Convertor
 from repro.datatype.ddt import Datatype, VectorShape
@@ -107,24 +106,7 @@ class PackJob:
         #: the compiled (datatype, count) plan, shared with the convertor
         sp = self.stream_plan = self.convertor.stream_plan
         self.form = sp.form
-        #: autotuner hook (docs/AUTOTUNER.md): learned seconds-per-byte
-        #: may override the hand-set cost model, but only among the
-        #: form's feasible plans and only with full coverage; the forced
-        #: DEV ablation and the static model stay the fallbacks.  The
-        #: key is kept for observation even when no decision applies, so
-        #: training runs (mode "observe", force_dev sweeps) build history.
-        tuner = engine.tuner
-        self._tune_key: Optional[str] = None
-        plan = None
-        if tuner is not None and self.form.kind != "empty":
-            self._tune_key = tuner.plan_key(self.form, self.total_bytes)
-            if not options.force_dev_path:
-                plan = tuner.decide_plan(
-                    self._tune_key, feasible_gpu_plans(self.form)
-                )
-        if plan is None:
-            plan = PLAN_GATHER if options.force_dev_path else sp.gpu_plan
-        self.plan = plan
+        self.plan = PLAN_GATHER if options.force_dev_path else sp.gpu_plan
         shape = (
             sp.vector_shape
             if self.plan in (PLAN_MEMCPY, PLAN_VECTOR_KERNEL)
@@ -282,10 +264,6 @@ class PackJob:
         upload = (n * 24) / self.gpu.h2d_link.bandwidth
         cost = self.prep_time(n) + upload
         self.engine._m_prep.observe(cost)
-        if self._tune_key is not None:
-            # DEV preparation is gather-plan overhead the learned cost
-            # must carry (zero bytes: pure seconds against the key)
-            self.engine.tuner.observe_plan(self._tune_key, self.plan, cost, 0)
         self._prep_fut = node.cpu_prep_engine.transfer(
             0, extra_overhead=cost, label="dev-prep"
         )
@@ -390,10 +368,6 @@ class PackJob:
         self.engine._m_kernel.observe(duration)
         self.engine._m_fragments.inc()
         self.engine._m_bytes.inc(nbytes)
-        if self._tune_key is not None:
-            self.engine.tuner.observe_plan(
-                self._tune_key, self.plan, duration, nbytes
-            )
         reads: tuple = ()
         writes: tuple = ()
         if _san.RACE is not None:
@@ -530,13 +504,10 @@ class GpuDatatypeEngine:
         cache: Optional[DevCache] = None,
         stream_name: str = "dtengine",
         metrics: Optional[MetricsRegistry] = None,
-        tuner=None,
     ) -> None:
         if gpu.node is None:
             raise ValueError("GPU must be attached to a node")
         self.gpu = gpu
-        #: optional :class:`repro.tune.Autotuner` consulted per PackJob
-        self.tuner = tuner
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry().scoped("engine.")
         )

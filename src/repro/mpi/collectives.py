@@ -203,11 +203,6 @@ def _parts_signature(parts) -> tuple:
 
 _A2A_OPS = ("alltoall", "alltoallv")
 
-#: rungs the autotuner may pick for a uniform alltoall under ``"auto"``.
-#: PAIRWISE is excluded (strictly dominated by NONBLOCKING here) and
-#: HIERARCHICAL needs explicit opt-in (it reshapes the traffic pattern).
-_TUNABLE_A2A = ("staged", "nonblocking", "direct")
-
 
 def _resolve_algorithm(
     mpi: "RankContext",
@@ -219,28 +214,17 @@ def _resolve_algorithm(
     """Pick the rung: explicit override > MpiConfig.coll_algorithm > auto.
 
     ``"auto"`` keeps the classic per-op defaults and, for the alltoall
-    family, stages through the host when the largest per-peer packed
-    block is at or below ``coll_staged_threshold`` bytes (the measured
-    staged-vs-direct crossover; bench scenario ``coll_crossover``).
+    family, stages device buffers through the host when the largest
+    per-peer packed block is at or below ``coll_staged_threshold`` bytes
+    and takes the nonblocking path otherwise.  It never picks DIRECT or
+    HIERARCHICAL: those change the message pattern and must be chosen
+    world-wide.  The threshold comes from the staged-vs-direct crossover
+    that bench scenario ``coll_crossover`` measures.
     """
     choice = explicit if explicit is not None else mpi.config.coll_algorithm
     if isinstance(choice, CollAlgorithm):
         algo = choice
     elif choice == "auto":
-        tuner = mpi.proc.tuner
-        if tuner is not None and op == "alltoall":
-            # tuned rung — *uniform* alltoall only: symmetric inputs mean
-            # every rank derives the same key against the same frozen
-            # table, so the world agrees on the algorithm without any
-            # extra agreement round (required for STAGED/DIRECT, which
-            # assume all ranks run the same rung).  alltoallv's ragged
-            # per-rank peer_bytes would diverge, so it stays static.
-            key = tuner.coll_key(
-                op, peer_bytes, is_device, mpi.world.num_nodes, mpi.size
-            )
-            tuned = tuner.decide_coll(key, _TUNABLE_A2A)
-            if tuned is not None:
-                return CollAlgorithm(tuned)
         if op in _A2A_OPS:
             if is_device and peer_bytes <= mpi.config.coll_staged_threshold:
                 algo = CollAlgorithm.STAGED
@@ -923,8 +907,6 @@ def _alltoall_common(
     seq = _bump_seq(mpi, op)
     _count_call(mpi, op, algo, nbytes)
     tag = _op_tag(op, seq)
-    tuner = mpi.proc.tuner
-    t0 = mpi.proc.sim.now if tuner is not None else 0.0
     _vkey = None
     if _san.VERIFY is not None:
         _vkey = _san.VERIFY.coll_begin(mpi.world, mpi.rank, op, seq, algo.value)
@@ -957,13 +939,6 @@ def _alltoall_common(
     finally:
         if _vkey is not None:
             _san.VERIFY.coll_end(_vkey)
-    if tuner is not None:
-        # per-rank elapsed for the whole call, keyed like the decision
-        # above; alltoallv samples are informational (never decided on)
-        tuner.observe_coll(
-            tuner.coll_key(op, peer_bytes, any_device, mpi.world.num_nodes, size),
-            algo.value, mpi.proc.sim.now - t0, nbytes,
-        )
     return nbytes
 
 

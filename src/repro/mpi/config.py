@@ -15,7 +15,6 @@ from typing import Optional
 from repro.faults.plan import FaultSpec
 from repro.gpu_engine.engine import EngineOptions
 from repro.sanitize.options import SanitizeOptions
-from repro.tune.table import DEFAULT_BANDS, validate_bands
 
 __all__ = ["MpiConfig", "RetryPolicy"]
 
@@ -88,33 +87,19 @@ class MpiConfig:
     #: "auto", "pairwise", "nonblocking", "staged", "direct",
     #: "hierarchical".  "auto" keeps the classic per-op defaults
     #: (binomial bcast, linear gather, ring allgather) and picks
-    #: staged-vs-direct for the alltoall family by message size; every
-    #: collective also accepts an explicit per-call override
+    #: staged-vs-nonblocking for the alltoall family by message size;
+    #: it never picks direct or hierarchical, which must be chosen
+    #: world-wide.  Every collective also accepts an explicit per-call
+    #: override
     coll_algorithm: str = "auto"
-    #: per-peer packed bytes at or below which "auto" routes the
-    #: alltoall family through the copy-to-host staged path; above it
-    #: the device-direct path wins.  The ``coll_crossover`` bench
-    #: scenario measures the flip at ~16-64 KB depending on topology
-    #: (mostly-inter-node worlds) — this default sits in that band, and
-    #: matches the paper's ~30 KB GPUDirect-profitability note
+    #: per-peer packed bytes at or below which "auto" routes a device
+    #: alltoall-family call through the copy-to-host staged path; above
+    #: it (and for host buffers) "auto" takes the nonblocking path.  The
+    #: ``coll_crossover`` bench scenario measures the staged-vs-*direct*
+    #: flip at ~16-64 KB depending on topology (mostly-inter-node
+    #: worlds) — this default sits in that band, and matches the
+    #: paper's ~30 KB GPUDirect-profitability note
     coll_staged_threshold: int = 32 * KB
-
-    #: adaptive autotuner mode (docs/AUTOTUNER.md): "off" keeps every
-    #: static selection with zero overhead; "observe" records measured
-    #: costs into the decision table without deciding (training runs);
-    #: "on" decides protocol/frag/depth/plan/collective-rung from a
-    #: table snapshot frozen at world construction
-    autotune: str = "off"
-    #: path of a persisted repro-tune/1 decision table to decide from
-    #: (None = start empty); malformed tables fail world construction
-    tuner_table: Optional[str] = None
-    #: seed identifying the offline training trajectory (provenance +
-    #: the training harness's traffic seed; never used by in-run
-    #: decisions, which are deterministic argmins)
-    tuner_seed: int = 0
-    #: message-size band upper edges (bytes, strictly increasing) the
-    #: tuner quantizes history with; one open band sits above the last
-    tuner_bands: tuple = DEFAULT_BANDS
 
     #: keep a per-rank TransferStats log entry for every transfer.  On by
     #: default (WorldStats timing/fragment breakdowns need it); scale
@@ -170,26 +155,6 @@ class MpiConfig:
                 "coll_staged_threshold must be >= 0, got "
                 f"{self.coll_staged_threshold}"
             )
-        if self.autotune not in ("off", "observe", "on"):
-            # the world checks `!= "off"` to build the tuner; a typo like
-            # "On" would silently run untuned
-            raise ValueError(
-                "autotune must be one of 'off', 'observe', 'on', got "
-                f"{self.autotune!r}"
-            )
-        if self.tuner_table is not None and not isinstance(self.tuner_table, str):
-            raise ValueError(
-                f"tuner_table must be a path or None, got {self.tuner_table!r}"
-            )
-        if not isinstance(self.tuner_seed, int) or isinstance(
-            self.tuner_seed, bool
-        ) or self.tuner_seed < 0:
-            raise ValueError(
-                f"tuner_seed must be a non-negative int, got {self.tuner_seed!r}"
-            )
-        # normalize (lists become tuples) and validate edges up front so a
-        # bad band spec fails at config time, not mid-run inside a key build
-        object.__setattr__(self, "tuner_bands", validate_bands(self.tuner_bands))
 
     def but(self, **kw) -> "MpiConfig":
         """A modified copy (keyword-for-keyword)."""

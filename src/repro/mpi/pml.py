@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.cuda.ipc import IpcMemHandle
-from repro.datatype.canonical import canonicalize
 from repro.datatype.ddt import Datatype
 from repro.hw.memory import Buffer
 from repro.mpi.bml import btl_for
@@ -260,36 +259,12 @@ def isend_coro(
             ))
         else:
             proc.count_transfer("send", "eager", mode, total)
-        if proc.tuner is not None and total > 0:
-            # informational sample: "eager" is never a tuned choice, but
-            # its cost sits beside the rendezvous ones in the table so a
-            # human reading the dump sees the crossover
-            form = canonicalize(dt, count)
-            key = proc.tuner.p2p_key(
-                form, total, proc.node is dst_proc.node,
-                "device" if buf.is_device else "host",
-            )
-            proc.tuner.observe_eager(key, proc.sim.now - t0, total)
         return total
 
     tid = f"{proc.rank}.{next(_tids)}"
     s_info = describe_side(proc, buf, dt, count)
-    # fragmentation defaults come from the static config; an autotuner in
-    # "on" mode overrides them from its frozen decision table and may also
-    # advertise a protocol preference in the RTS (docs/AUTOTUNER.md)
     frag_bytes = cfg.frag_bytes
     depth = cfg.pipeline_depth
-    tune_key = None
-    if proc.tuner is not None:
-        form = canonicalize(dt, count)
-        tune_key = proc.tuner.p2p_key(
-            form, total, proc.node is dst_proc.node, s_info.loc
-        )
-        tuned = proc.tuner.decide_send(tune_key)
-        if tuned is not None:
-            frag_bytes = tuned.frag_bytes
-            depth = tuned.depth
-            s_info.preferred_protocol = tuned.protocol
     s_info.frag_bytes = frag_bytes
     s_info.ring_segments = depth
 
@@ -355,13 +330,6 @@ def isend_coro(
         if state.stats.fragments == 0:
             state.stats.fragments = 1
         proc.record_transfer(state.stats)
-        if tune_key is not None:
-            # record the choice that actually ran (the receiver may have
-            # overridden the preference) against the observed elapsed time
-            proc.tuner.observe_send(
-                tune_key, frag_bytes, depth, protocol,
-                state.stats.end_s - state.stats.start_s, total,
-            )
     finally:
         if _ver is not None:
             _ver.wait_end(_vtok)  # idempotent (exception paths)
@@ -454,9 +422,7 @@ def _matched_recv_coro(
     src_proc = world.procs[sender_rank]
     btl_back = btl_for(proc, src_proc)
     r_info = describe_side(proc, buf, dt, count)
-    protocol = choose_protocol(
-        s_info, r_info, btl_back, preferred=s_info.preferred_protocol
-    )
+    protocol = choose_protocol(s_info, r_info, btl_back)
 
     state = TransferState(
         proc=proc,

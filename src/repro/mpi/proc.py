@@ -39,7 +39,6 @@ class MpiProcess:
         config: MpiConfig,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
-        tuner=None,
     ) -> None:
         self.rank = rank
         self.node = node
@@ -50,14 +49,6 @@ class MpiProcess:
         self.faults = faults
         if self.faults is None and config.faults is not None:
             self.faults = FaultPlan(config.faults)
-        #: world-shared autotuner (None = static selection); standalone
-        #: processes build their own when the config asks for one — same
-        #: pattern as the fault plan
-        self.tuner = tuner
-        if self.tuner is None and config.autotune != "off":
-            from repro.tune.tuner import Autotuner
-
-            self.tuner = Autotuner.from_config(config)
         self.sim: Simulator = node.sim
         self.matching = MatchingEngine()
         #: per-(dest, comm) send counters backing the envelope pair_seq
@@ -187,7 +178,6 @@ class MpiProcess:
                 self.gpu,
                 stream_name=f"dtengine.r{self.rank}",
                 metrics=self.metrics.scoped("engine."),
-                tuner=self.tuner,
             )
         return self._engine
 

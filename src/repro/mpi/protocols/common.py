@@ -29,7 +29,6 @@ __all__ = [
     "deposit",
     "describe_side",
     "choose_protocol",
-    "feasible_protocols",
     "open_with_retry",
 ]
 
@@ -71,10 +70,6 @@ class SideInfo:
     handle: Optional[IpcMemHandle] = None
     ring_segments: int = 0
     frag_bytes: int = 0
-    #: sender's tuned protocol preference (docs/AUTOTUNER.md), advertised
-    #: in the RTS; the receiver honours it only when feasible for the
-    #: actual buffer pair — None keeps the classic handshake decision
-    preferred_protocol: Optional[str] = None
 
 
 def describe_side(
@@ -95,36 +90,20 @@ def describe_side(
     )
 
 
-def feasible_protocols(s: SideInfo, r: SideInfo, btl: "Btl") -> tuple[str, ...]:
-    """Rendezvous protocols able to move this buffer pair, default first.
-
-    Host pairs have exactly one pipeline.  Device pairs over a CUDA-IPC
-    BTL may ride the RDMA pipeline *or* the MVAPICH-style host-staged
-    copy-in/out — the manual-pack baseline is a first-class choice the
-    autotuner can prefer (arXiv 2511.13804: manual packing sometimes
-    beats datatype RDMA), and the fault ladder already falls back to it.
-    Everything else (mixed placement, no IPC) stages through the host.
-    """
-    if s.loc == "host" and r.loc == "host":
-        return ("host",)
-    if btl.supports_cuda_ipc and s.loc == "device" and r.loc == "device":
-        return ("ipc_rdma", "copyinout")
-    return ("copyinout",)
-
-
-def choose_protocol(
-    s: SideInfo, r: SideInfo, btl: "Btl", preferred: Optional[str] = None
-) -> str:
+def choose_protocol(s: SideInfo, r: SideInfo, btl: "Btl") -> str:
     """The receiver-side handshake decision (Section 4.1).
 
-    ``preferred`` is the sender's tuned advertisement: it wins when it is
-    in the feasible set, otherwise the classic first-feasible rule holds
-    (so a stale decision table can never produce an unrunnable pairing).
+    Host pairs take the host pipeline, device pairs over a CUDA-IPC BTL
+    the RDMA pipeline, and everything else (mixed placement, no IPC)
+    stages through the host with copy-in/out.  Device pairs still reach
+    copy-in/out through ``use_cuda_ipc=False`` and the fault fallback
+    ladder.
     """
-    feasible = feasible_protocols(s, r, btl)
-    if preferred is not None and preferred in feasible:
-        return preferred
-    return feasible[0]
+    if s.loc == "host" and r.loc == "host":
+        return "host"
+    if btl.supports_cuda_ipc and s.loc == "device" and r.loc == "device":
+        return "ipc_rdma"
+    return "copyinout"
 
 
 def byte_ranges(total: int, frag: int) -> list[tuple[int, int]]:

@@ -95,7 +95,6 @@ class MpiWorld:
         cluster: Cluster,
         placements: Sequence[tuple[int, Optional[int]]],
         config: Optional[MpiConfig] = None,
-        tuner=None,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
@@ -132,16 +131,6 @@ class MpiWorld:
             self.faults = FaultPlan(
                 self.config.faults, metrics=self.metrics.scoped("faults.")
             )
-        #: one shared autotuner (None with autotune="off"): every rank
-        #: decides from the same frozen decision-table snapshot, so
-        #: world-consistent choices (tuned direct alltoall) hold by
-        #: construction.  An explicit ``tuner=`` wins over the config
-        #: (harnesses inject freshly trained tables without a tempfile)
-        self.tuner = tuner
-        if self.tuner is None and self.config.autotune != "off":
-            from repro.tune.tuner import Autotuner
-
-            self.tuner = Autotuner.from_config(self.config)
         #: lazily-built per-rank process table — shared immutable state
         #: (config, placements, fault plan, metrics root) lives on the
         #: world; each rank's mutable state materializes on first use
@@ -181,7 +170,6 @@ class MpiWorld:
             rank, node, gpu, self.config,
             metrics=self.metrics.scoped(f"r{rank}."),
             faults=self.faults,
-            tuner=self.tuner,
         )
         proc.register_handler("pml.rts", rts_handler(self, proc))
         return proc

@@ -27,7 +27,8 @@ wildcard receive), ``rendezvous`` (pipelined RTS/CTS with small
 fragments), the three ``smoke-*`` environments of
 :mod:`repro.bench.smoke` (ipc_rdma / copyinout / host), and
 ``coll_crossover`` (alltoall over a 2x2 world on both sides of the
-staged/direct crossover).
+staged/direct crossover) and ``traffic`` (a multi-tenant replay over
+copy-in/out and the gather plan).
 """
 
 from __future__ import annotations
@@ -285,53 +286,25 @@ def _coll_scenario(sim: Simulator) -> str:
 
 
 def _traffic_scenario(sim: Simulator) -> str:
-    """Tuned multi-tenant traffic replay (autotuner + generator).
+    """Multi-tenant traffic replay on the non-default paths.
 
-    The decision table is *synthetic* — fixed costs written directly,
-    no measurement — so every run derives identical frozen decisions
-    regardless of event ordering.  The digest covers all received bytes
-    plus the tuner's applied-decision digest: data integrity and
-    reproducible tuned (frag, depth, protocol, plan) selection per size
-    band in one check.  Costs are rigged so the tuned choices *differ*
-    from the static defaults (small fragments, copy-in/out preference,
-    gather plan) — the perturbed schedules must agree while actually
-    running the tuned paths.
+    A static config steers the replay off the paths the other scenarios
+    cover: 256 KB x 2 fragments, copy-in/out for device pairs
+    (``use_cuda_ipc=False``) and the generic CUDA_DEV gather plan for
+    every pack (``force_dev_path``).  The digest covers every tenant's
+    received bytes on every rank.
     """
-    from repro.datatype.canonical import canonicalize
-    from repro.datatype.ddt import contiguous, vector
-    from repro.datatype.primitives import BYTE, DOUBLE
-    from repro.tune import Autotuner, DecisionTable
+    from repro.gpu_engine.engine import EngineOptions
+    from repro.mpi.config import MpiConfig
     from repro.workloads.traffic import TrafficSpec, replay_digest
 
-    # default spec size: large enough that vector, plan, and intra-node
-    # rigged decisions all fire (17 applied decisions), not just contig
-    spec = TrafficSpec(rounds=4, tenants=3)
-    table = DecisionTable()
-    helper = Autotuner(table, mode="observe")
-    vdt = vector(
-        spec.vector_rows, spec.vector_bl, spec.vector_stride, DOUBLE
-    ).commit()
-    forms = [
-        (canonicalize(vdt, c), vdt.size * c)
-        for c in range(1, spec.vector_max_count + 1)
-    ] + [
-        (canonicalize(contiguous(n, BYTE).commit(), 1), n)
-        for n, _w in spec.size_mix
-    ]
-    for form, nbytes in forms:
-        for intra in (True, False):
-            for loc in ("host", "device"):
-                key = helper.p2p_key(form, nbytes, intra, loc)
-                alt = "host" if loc == "host" else "copyinout"
-                # rigged: small fragments + the fallback protocol win
-                table.observe(key, f"frag=262144,depth=2,proto={alt}", 1.0, 10**9)
-                table.observe(key, "frag=1048576,depth=4,proto=-", 2.0, 10**9)
-        if form.kind == "vector":
-            pkey = helper.plan_key(form, nbytes)
-            table.observe(pkey, "gather", 1.0, 10**9)
-            table.observe(pkey, "vector_kernel", 2.0, 10**9)
-    tuner = Autotuner(table, mode="on")
-    return replay_digest(spec, tuner=tuner, sim=sim)
+    config = MpiConfig(
+        frag_bytes=256 * 1024,
+        pipeline_depth=2,
+        use_cuda_ipc=False,
+        engine=EngineOptions(force_dev_path=True),
+    )
+    return replay_digest(TrafficSpec(), config=config, sim=sim)
 
 
 #: scenario name -> callable(sim) -> result digest
@@ -353,7 +326,7 @@ SCENARIOS: dict[str, Callable[[Simulator], str]] = {
     ),
     # collective crossover: staged + direct alltoall on a 2x2 world
     "coll_crossover": _coll_scenario,
-    # tuned multi-tenant traffic replay (frozen synthetic decision table)
+    # multi-tenant traffic replay: copy-in/out, small frags, gather plan
     "traffic": _traffic_scenario,
 }
 

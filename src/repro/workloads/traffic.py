@@ -1,4 +1,4 @@
-"""Seeded multi-tenant traffic replay: the autotuner's training diet.
+"""Seeded multi-tenant traffic replay.
 
 Real GPU applications rarely look like a single ping-pong: several
 libraries (tenants) share the ranks, each with its own communicator and
@@ -17,12 +17,6 @@ bursts.  This module generates that traffic deterministically:
 * per round, every rank sleeps the same drawn gap and then issues all
   tenants' sends and receives back-to-back — idle valleys followed by
   waves of concurrent traffic across communicators.
-
-The same harness doubles as the autotuner's training loop: run it with
-an observe-mode :class:`~repro.tune.tuner.Autotuner` under candidate
-configs to fill a decision table, then replay with ``autotune="on"``
-to validate (see ``python -m repro.tune --train`` and the
-``traffic_tuned`` bench scenario).
 """
 
 from __future__ import annotations
@@ -139,7 +133,7 @@ def _sleep(sim: Simulator, seconds: float) -> Future:
     return fut
 
 
-def _replay(spec: TrafficSpec, config, tuner, sim):
+def _replay(spec: TrafficSpec, config, sim):
     """Build the world, run the full replay; returns the raw pieces.
 
     ``(world, recvbufs, elapsed, messages)`` — :func:`run_traffic`
@@ -152,7 +146,7 @@ def _replay(spec: TrafficSpec, config, tuner, sim):
     placements = [
         (n, g) for n in range(spec.n_nodes) for g in range(spec.gpus_per_node)
     ]
-    world = MpiWorld(cluster, placements, config=config, tuner=tuner)
+    world = MpiWorld(cluster, placements, config=config)
 
     # one communicator per tenant: COMM_WORLD plus dup()s (fresh context
     # ids — concurrent same-tag traffic on different tenants never mixes)
@@ -233,12 +227,8 @@ def _replay(spec: TrafficSpec, config, tuner, sim):
     return world, recvbufs, elapsed, messages
 
 
-def run_traffic(spec: TrafficSpec, config=None, tuner=None) -> dict[str, float]:
+def run_traffic(spec: TrafficSpec, config=None) -> dict[str, float]:
     """Run one traffic replay; returns flat gateable metrics.
-
-    ``tuner`` is handed to :class:`MpiWorld` verbatim (an observe-mode
-    tuner trains on this traffic; a mode-"on" tuner steers it), taking
-    precedence over whatever ``config.autotune`` would build.
 
     Metrics: ``elapsed_s`` (whole replay, virtual clock),
     ``total_gbytes`` moved, ``messages`` issued, DevCache
@@ -247,7 +237,7 @@ def run_traffic(spec: TrafficSpec, config=None, tuner=None) -> dict[str, float]:
     that reuse cached preparations (the canonical-key payoff the
     generator exists to measure).
     """
-    world, _recvbufs, elapsed, messages = _replay(spec, config, tuner, None)
+    world, _recvbufs, elapsed, messages = _replay(spec, config, None)
     ws = world.stats()
     cache = ws.cache
     lookups = cache.hits + cache.misses
@@ -261,25 +251,19 @@ def run_traffic(spec: TrafficSpec, config=None, tuner=None) -> dict[str, float]:
     }
 
 
-def replay_digest(spec: TrafficSpec, config=None, tuner=None, sim=None) -> str:
+def replay_digest(spec: TrafficSpec, config=None, sim=None) -> str:
     """BLAKE2b digest of everything the application observes in a replay.
 
-    Hashes every tenant's received bytes on every rank plus — when a
-    tuner steered the run — its
-    :meth:`~repro.tune.tuner.Autotuner.decisions_digest`, then runs the
+    Hashes every tenant's received bytes on every rank, then runs the
     finalize audit.  The schedule explorer asserts this digest is
-    bit-identical across perturbed event orderings: data integrity *and*
-    reproducible tuned (plan, protocol) selection per size band in one
-    check.
+    bit-identical across perturbed event orderings.
     """
     import hashlib
 
-    world, recvbufs, _elapsed, _messages = _replay(spec, config, tuner, sim)
+    world, recvbufs, _elapsed, _messages = _replay(spec, config, sim)
     world.finalize()
     h = hashlib.blake2b(digest_size=16)
     for row in recvbufs:
         for buf in row:
             h.update(buf.bytes.tobytes())
-    if tuner is not None:
-        h.update(tuner.decisions_digest().encode())
     return h.hexdigest()

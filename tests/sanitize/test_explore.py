@@ -73,6 +73,27 @@ class TestScenarios:
         res = ex.explore(name, schedules=3, seed=1)
         assert res.ok, (res.divergent, res.errors)
 
+    def test_traffic_replay_stays_off_default_paths(self, monkeypatch):
+        """The ``traffic`` scenario covers copy-in/out and the gather
+        plan; drifting back onto ipc_rdma or the cost-model plans would
+        re-check what the other scenarios already cover."""
+        import repro.workloads.traffic as traffic
+
+        worlds = []
+
+        class RecordingWorld(traffic.MpiWorld):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                worlds.append(self)
+
+        monkeypatch.setattr(traffic, "MpiWorld", RecordingWorld)
+        ex.SCENARIOS["traffic"](Simulator())
+        (world,) = worlds
+        ws = world.stats()
+        assert "ipc_rdma" not in ws.by_protocol
+        assert ws.by_protocol.get("copyinout", 0) > 0
+        assert {p for p, n in ws.engine.plans.items() if n} == {"gather"}
+
     def test_divergence_is_caught(self, monkeypatch):
         """A schedule-dependent 'scenario' must produce divergent digests
         — proof the harness can fail, not just pass."""

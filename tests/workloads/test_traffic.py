@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.mpi.config import MpiConfig
-from repro.tune import Autotuner, DecisionTable
 from repro.workloads.traffic import (
     TrafficDraws,
     TrafficSpec,
@@ -89,43 +88,3 @@ class TestReplay:
         )["elapsed_s"]
         assert no_ipc != base  # forcing copy-in/out must change the timeline
 
-    def test_tuned_run_applies_decisions_and_stays_correct(self):
-        # rig a table so the tuned replay diverges from the static one,
-        # then check data still arrives (digest exists) and decisions fire
-        from repro.datatype.canonical import canonicalize
-        from repro.datatype.ddt import contiguous, vector
-        from repro.datatype.primitives import BYTE, DOUBLE
-
-        spec = TrafficSpec()
-        helper = Autotuner(DecisionTable(), mode="observe")
-        table = helper.table
-        vdt = vector(
-            spec.vector_rows, spec.vector_bl, spec.vector_stride, DOUBLE
-        ).commit()
-        forms = [
-            (canonicalize(vdt, c), vdt.size * c)
-            for c in range(1, spec.vector_max_count + 1)
-        ] + [
-            (canonicalize(contiguous(n, BYTE).commit(), 1), n)
-            for n, _w in spec.size_mix
-        ]
-        for form, n in forms:
-            for intra in (True, False):
-                for loc in ("host", "device"):
-                    key = helper.p2p_key(form, n, intra, loc)
-                    alt = "host" if loc == "host" else "copyinout"
-                    table.observe(key, f"frag=65536,depth=2,proto={alt}", 1.0, 10**9)
-        tuner = Autotuner(table, mode="on")
-        digest = replay_digest(spec, tuner=tuner)
-        assert len(digest) == 32
-        assert tuner.decisions  # tuned decisions fired
-        # same rig, fresh tuner: bit-identical digest incl. decisions
-        tuner2 = Autotuner(table, mode="on")
-        assert replay_digest(spec, tuner=tuner2) == digest
-
-    def test_config_autotune_builds_world_tuner(self, tmp_path):
-        # autotune="observe" without an explicit tuner records history
-        path = str(tmp_path / "t.json")
-        cfg = MpiConfig(autotune="observe", tuner_table=None)
-        metrics = run_traffic(SMALL, config=cfg)
-        assert metrics == run_traffic(SMALL, config=cfg)  # still deterministic
