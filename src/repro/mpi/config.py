@@ -30,8 +30,8 @@ class RetryPolicy:
     the timer backs off exponentially (``rto * backoff**attempt``) and the
     transfer fails with :class:`repro.faults.TransferTimeout` once
     ``max_retries`` retransmissions go unanswered.  Timers are armed only
-    when a fault plan is active (or ``always_on``), so fault-free
-    benchmark timelines are untouched.
+    when a fault plan is active, so fault-free benchmark timelines are
+    untouched.
     """
 
     #: base retransmit timeout, seconds (generous: fragments are ~100 us)
@@ -42,8 +42,6 @@ class RetryPolicy:
     max_retries: int = 8
     #: sender-side CUDA IPC open attempts beyond the first
     ipc_open_retries: int = 4
-    #: arm retransmit timers even without an active fault plan
-    always_on: bool = False
 
     def __post_init__(self) -> None:
         if self.rto <= 0:

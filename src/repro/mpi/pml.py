@@ -54,11 +54,17 @@ def _times(sig, count: int):
 
     Single-run signatures scale in place; multi-run ones concatenate
     (seams stay un-coalesced — the prefix walk below tolerates adjacent
-    runs of the same name).
+    runs of the same name).  Zero elements have the empty signature,
+    which fits any receive.
     """
     if count == 1:
         return sig
-    return tuple((n, c * count) for n, c in sig) if len(sig) == 1 else sig * count
+    if count == 0 or not sig:
+        return ()
+    if len(sig) == 1:
+        name, c = sig[0]
+        return ((name, c * count),)
+    return sig * count
 
 
 def _signature_check(send_sig, recv_sig) -> None:
@@ -505,7 +511,7 @@ def _eager_header(proc: "MpiProcess", dt: Datatype, count: int, total: int) -> d
 
     Receivers only ever read headers, so repeated same-shape sends reuse
     one dict; the cache holds a strong dt ref to keep ``id(dt)`` valid
-    and hits verify identity, mirroring the convertor cache.
+    and hits verify identity.
     """
     cache = proc._eager_hdr_cache
     key = (id(dt), count)

@@ -193,12 +193,9 @@ class TransferState:
         )
         self._in_flight = 0
         # -- reliability layer (docs/ROBUSTNESS.md) ------------------------
-        #: retransmit timers armed only under an active fault plan (or
-        #: config.retry.always_on); fault-free timelines stay untouched
-        self.reliable = bool(
-            self.proc.config.retry.always_on
-            or (self.proc.faults is not None and self.proc.faults.active)
-        )
+        #: retransmit timers armed only under an active fault plan;
+        #: fault-free timelines stay untouched
+        self.reliable = self.proc.faults is not None and self.proc.faults.active
         #: sender side: fragment ids whose ACK has arrived
         self.acked: set[int] = set()
         #: sanitizer: clock snapshot at each ACK's arrival; a slot_free

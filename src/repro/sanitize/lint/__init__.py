@@ -37,8 +37,8 @@ Three rules, each guarding an invariant the simulation depends on:
     over the eager limit the rendezvous CTS never comes, because the
     rank that must post the matching receive is blocked in the send —
     the runtime verifier reports it as a one-rank deadlock cycle.
-    Issue the isend first, post the receive, then wait the request
-    (cf. ``_gather_linear`` / ``_allgather_ring`` in
+    Issue the isend first, post the receive, then wait both requests
+    (cf. the own-block legs of ``_fan_in`` in
     ``repro/mpi/collectives.py``).
 
 ``SAN-L006`` **dropped request** (everywhere scanned): the
@@ -196,8 +196,8 @@ def _lint_requests(path: str, tree: ast.AST) -> list:
                                 "self-send deadlocks — the rank that must "
                                 "post the matching receive is blocked in "
                                 "this send (a wait-for self-cycle); isend "
-                                "first, recv, then wait the request (cf. "
-                                "repro/mpi/collectives.py _gather_linear)",
+                                "first, recv, then wait both requests (cf. "
+                                "repro/mpi/collectives.py _fan_in)",
                             )
                         )
             elif (

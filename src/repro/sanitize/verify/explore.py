@@ -27,8 +27,10 @@ wildcard receive), ``rendezvous`` (pipelined RTS/CTS with small
 fragments), the three ``smoke-*`` environments of
 :mod:`repro.bench.smoke` (ipc_rdma / copyinout / host), and
 ``coll_crossover`` (alltoall over a 2x2 world on both sides of the
-staged/direct crossover) and ``traffic`` (a multi-tenant replay over
-copy-in/out and the gather plan).
+staged/direct crossover), ``coll_ladder`` (every collective executor:
+bcast, gather and allgather under four rungs and a ragged alltoallv
+under all five) and ``traffic`` (a multi-tenant replay over copy-in/out
+and the gather plan).
 """
 
 from __future__ import annotations
@@ -285,6 +287,105 @@ def _coll_scenario(sim: Simulator) -> str:
     return h.hexdigest()
 
 
+def _coll_ladder_scenario(sim: Simulator) -> str:
+    """Every collective executor on a 2x2 device world.
+
+    bcast (root 1), gather (root 2) and allgather run under the
+    pairwise, nonblocking, staged and direct rungs, then an alltoallv
+    with counts ``(s + d) % 3`` (zero blocks included) under all five.
+    Every block is a lower-triangular type and every call lands in its
+    own receive buffers; the digest covers all received bytes.
+    """
+    from repro.datatype.convertor import pack_bytes
+    from repro.hw.node import Cluster
+    from repro.mpi.collectives import (
+        CollAlgorithm,
+        allgather,
+        alltoallv,
+        bcast,
+        gather,
+    )
+    from repro.mpi.config import MpiConfig
+    from repro.mpi.world import MpiWorld
+    from repro.workloads.matrices import lower_triangular_type
+
+    cluster = Cluster(2, 2, sim=sim)
+    placements = [(n, g) for n in range(2) for g in range(2)]
+    world = MpiWorld(cluster, placements, config=MpiConfig())
+    size = 4
+    dt = lower_triangular_type(12)
+    rng = np.random.default_rng(17)
+    rungs = list(CollAlgorithm)
+    two_sided = [a for a in rungs if a is not CollAlgorithm.HIERARCHICAL]
+    counts = [[(s + d) % 3 for d in range(size)] for s in range(size)]
+
+    def alloc(r, n=1, fill=False):
+        buf = world.procs[r].ctx.malloc(dt.extent * max(n, 1))
+        if fill:
+            buf.bytes[:] = rng.integers(0, 255, buf.nbytes, dtype=np.uint8)
+        else:
+            buf.fill(0)
+        return buf
+
+    send = [alloc(r, fill=True) for r in range(size)]
+    a2a_send = [
+        [alloc(r, counts[r][d], fill=True) for d in range(size)]
+        for r in range(size)
+    ]
+    # received: (buffer, count) per call, in digest order
+    got: list = []
+    bufs: dict = {}
+    for algo in two_sided:
+        for r in range(size):
+            b = bufs["bcast", algo, r] = alloc(r, fill=r == 1)
+            got.append((b, 1))
+            bufs["allgather", algo, r] = [alloc(r) for _ in range(size)]
+            got += [(b, 1) for b in bufs["allgather", algo, r]]
+        bufs["gather", algo] = [alloc(2) for _ in range(size)]
+        got += [(b, 1) for b in bufs["gather", algo]]
+    for algo in rungs:
+        for r in range(size):
+            bufs["alltoallv", algo, r] = [
+                alloc(r, counts[s][r]) for s in range(size)
+            ]
+            got += [
+                (b, counts[s][r])
+                for s, b in enumerate(bufs["alltoallv", algo, r])
+            ]
+
+    def program(rank):
+        def run(mpi):
+            for algo in two_sided:
+                yield from bcast(
+                    mpi, bufs["bcast", algo, rank], dt, 1, root=1,
+                    algorithm=algo,
+                )
+                yield from gather(
+                    mpi, send[rank], dt, 1,
+                    bufs["gather", algo] if rank == 2 else None,
+                    dt if rank == 2 else None, 1, root=2, algorithm=algo,
+                )
+                yield from allgather(
+                    mpi, send[rank], dt, 1, bufs["allgather", algo, rank],
+                    dt, 1, algorithm=algo,
+                )
+            for algo in rungs:
+                yield from alltoallv(
+                    mpi, a2a_send[rank], dt, counts[rank],
+                    bufs["alltoallv", algo, rank], dt,
+                    [counts[s][rank] for s in range(size)], algorithm=algo,
+                )
+        return run
+
+    world.run({r: program(r) for r in range(size)})
+    world.finalize()
+
+    h = _hasher()
+    for buf, count in got:
+        h.update(pack_bytes(dt, count, buf.bytes).tobytes())
+    return h.hexdigest()
+
+
 def _traffic_scenario(sim: Simulator) -> str:
     """Multi-tenant traffic replay on the non-default paths.
 
@@ -326,6 +427,9 @@ SCENARIOS: dict[str, Callable[[Simulator], str]] = {
     ),
     # collective crossover: staged + direct alltoall on a 2x2 world
     "coll_crossover": _coll_scenario,
+    # every collective executor: bcast/gather/allgather x 4 rungs,
+    # alltoallv x 5 rungs on a 2x2 world
+    "coll_ladder": _coll_ladder_scenario,
     # multi-tenant traffic replay: copy-in/out, small frags, gather plan
     "traffic": _traffic_scenario,
 }

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.datatype.ddt import contiguous, vector
-from repro.datatype.primitives import DOUBLE
+from repro.datatype.primitives import DOUBLE, INT
 from repro.mpi.config import MpiConfig
 from repro.mpi.protocols.common import TransferState, byte_ranges
 from tests.mpi.test_property_end_to_end import build_world
@@ -135,6 +135,25 @@ def test_zero_count_into_larger_posted_recv():
     world.run([s, r])
     assert np.all(recv_buf.bytes == 0xCD)
     assert all(p._engine is None for p in world.procs)
+
+
+@pytest.mark.parametrize("kind", ["cpu", "sm-2gpu"])
+def test_zero_count_send_fits_any_receive_type(kind):
+    """Zero elements have the empty signature: a count=0 DOUBLE send
+    into an INT receive is no type mismatch."""
+    world = build_world(kind, MpiConfig())
+    send_buf, recv_buf = _bufs(world, 64)
+    int4 = contiguous(4, INT).commit()
+    statuses = []
+
+    def s(mpi):
+        yield mpi.send(send_buf, D8, 0, dest=1, tag=5)
+
+    def r(mpi):
+        statuses.append((yield mpi.irecv(recv_buf, int4, 2, source=0, tag=5)))
+
+    world.run([s, r])
+    assert statuses[0].count_bytes == 0
 
 
 def test_zero_fragment_transfer_state_completes_immediately():

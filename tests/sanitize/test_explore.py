@@ -67,11 +67,39 @@ class TestScenarios:
         assert res.identical == 50
 
     @pytest.mark.parametrize(
-        "name", ["smoke-sm-2gpu", "smoke-ib", "smoke-cpu", "coll_crossover"]
+        "name",
+        ["smoke-sm-2gpu", "smoke-ib", "smoke-cpu", "coll_crossover", "coll_ladder"],
     )
     def test_remaining_scenarios_quick(self, name):
         res = ex.explore(name, schedules=3, seed=1)
         assert res.ok, (res.divergent, res.errors)
+
+    def test_coll_ladder_runs_every_executor(self, monkeypatch):
+        """``coll_ladder`` covers all 17 (op, rung) pairs; dropping one
+        would leave an executor path unexplored."""
+        import repro.mpi.world as world_mod
+        from repro.mpi.collectives import CollAlgorithm
+
+        worlds = []
+
+        class RecordingWorld(world_mod.MpiWorld):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                worlds.append(self)
+
+        monkeypatch.setattr(world_mod, "MpiWorld", RecordingWorld)
+        ex.SCENARIOS["coll_ladder"](Simulator())
+        (world,) = worlds
+        ran = {k for k in world.stats().coll_ops if not k.endswith(".bytes")}
+        rungs = [a.value for a in CollAlgorithm]
+        want = {
+            f"{op}.{rung}"
+            for op in ("bcast", "gather", "allgather")
+            for rung in rungs
+            if rung != "hierarchical"
+        } | {f"alltoallv.{rung}" for rung in rungs}
+        assert len(want) == 17
+        assert ran == want
 
     def test_traffic_replay_stays_off_default_paths(self, monkeypatch):
         """The ``traffic`` scenario covers copy-in/out and the gather
