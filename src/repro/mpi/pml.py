@@ -5,8 +5,11 @@ reassembles the message data ... Different protocols based on the message
 size (short, eager, and rendezvous) and network properties are available,
 and the PML is designed to pick the best combination" (Section 4).
 
-Send path: eager for small messages (data rides the RTS Active Message);
-rendezvous otherwise — the RTS advertises the sender's buffer placement,
+:func:`isend` and :func:`irecv` are the layer's two entry points.  A send
+at or under the eager limit packs its bytes into the RTS Active Message;
+it runs as one callback chain (:class:`_EagerSend`), as does every
+receive up to its match (:class:`_EagerRecv`).  A larger send runs the
+rendezvous coroutine: the RTS advertises the sender's buffer placement,
 contiguity and, when CUDA IPC applies, an IPC handle (of the user buffer
 for contiguous sends, of the device fragment ring otherwise).  The
 receiver matches, chooses the protocol (receiver-driven GET handshake),
@@ -16,6 +19,7 @@ answers with a CTS, and both sides run the chosen pipeline from
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import TYPE_CHECKING, Optional
 
@@ -44,7 +48,7 @@ if TYPE_CHECKING:
     from repro.mpi.proc import MpiProcess
     from repro.mpi.world import MpiWorld
 
-__all__ = ["isend_coro", "irecv_coro"]
+__all__ = ["isend", "irecv", "rts_handler"]
 
 _tids = itertools.count()
 
@@ -103,119 +107,11 @@ def _signature_check(send_sig, recv_sig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# eager protocol
+# entry points
 # ---------------------------------------------------------------------------
 
 
-def _eager_pack_coro(
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    gpudirect: bool = False,
-):
-    """Produce the message's bytes for an eager send.
-
-    Host buffers CPU-pack into a bounce array; device buffers GPU-pack
-    into a zero-copy host bounce — or, with GPUDirect RDMA, into a
-    *device* bounce that the NIC reads directly (no host transit; the
-    PCIe D2H leg disappears, which is why GPUDirect wins for small
-    messages).
-    """
-    total = dt.size * count
-    if total == 0:
-        # zero-byte send: the envelope still travels, the engines don't
-        return np.empty(0, dtype=np.uint8)
-    if buf.is_host:
-        if (
-            dt.is_contiguous
-            and (count == 1 or dt.extent == dt.size)
-            and _san.MEM is None
-            and _san.RACE is None
-        ):
-            # contiguous host fast path: same memcpy-engine charge as
-            # CpuSideJob's contiguous branch, minus the convertor and
-            # closure machinery (sanitized runs keep the checked path).
-            # count > 1 needs extent == size too — a resized contiguous
-            # type strides elements apart, which only the convertor walks.
-            stage = np.empty(total, dtype=np.uint8)
-            src = buf.bytes
-            fut = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-pack")
-            fut.add_callback(lambda _f: stage.__setitem__(slice(0, total), src[:total]))
-            yield fut
-            return stage
-        job = CpuSideJob(proc, dt, count, buf, "pack")
-        stage = np.empty(total, dtype=np.uint8)
-        yield job.process_range(0, total, stage)
-        return stage
-    job = proc.engine.pack_job(dt, count, buf, proc.config.engine)
-    if gpudirect:
-        dstage = proc.acquire_staging("device", max(total, 256))
-        yield from job.process_all(dstage[:total])
-        data = dstage.bytes[:total].copy()
-        proc.release_staging("device", dstage)
-        return data
-    # pack via the GPU engine into a zero-copy host bounce buffer
-    hstage = proc.acquire_staging("host", max(total, 256), zero_copy_map=True)
-    yield from job.process_all(hstage[:total])
-    data = hstage.bytes[:total].copy()
-    proc.release_staging("host", hstage, zero_copy_map=True)
-    return data
-
-
-def _eager_unpack_coro(
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    data: np.ndarray,
-    gpudirect: bool = False,
-):
-    # a receive may be posted larger than the message actually sent:
-    # unpack only the prefix that arrived, leave trailing elements alone
-    total = min(dt.size * count, len(data))
-    if total == 0:
-        return 0
-    if buf.is_host:
-        if (
-            dt.is_contiguous
-            and (count == 1 or dt.extent == dt.size)
-            and _san.MEM is None
-            and _san.RACE is None
-        ):
-            # contiguous host fast path — mirror of _eager_pack_coro's
-            dst = buf.bytes
-            fut = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-unpack")
-            fut.add_callback(lambda _f: dst.__setitem__(slice(0, total), data[:total]))
-            yield fut
-            return total
-        job = CpuSideJob(proc, dt, count, buf, "unpack")
-        yield job.process_range(0, total, data)
-        return total
-    job = proc.engine.unpack_job(dt, count, buf, proc.config.engine)
-    # a prefix fragment (not process_all, which demands the full posted
-    # count's bytes and would reject — or overrun — a short message)
-    frag = job.range_fragment(0, 0, total)
-    if gpudirect:
-        # the NIC deposited the message straight into device memory
-        dstage = proc.acquire_staging("device", max(total, 256))
-        dstage.bytes[:total] = data[:total]
-        yield from job.process_fragment(frag, dstage[:total])
-        proc.release_staging("device", dstage)
-        return total
-    hstage = proc.acquire_staging("host", max(total, 256), zero_copy_map=True)
-    hstage.bytes[:total] = data[:total]
-    yield from job.process_fragment(frag, hstage[:total])
-    proc.release_staging("host", hstage, zero_copy_map=True)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# send / recv coroutines
-# ---------------------------------------------------------------------------
-
-
-def isend_coro(
+def isend(
     world: "MpiWorld",
     proc: "MpiProcess",
     buf: Buffer,
@@ -224,49 +120,392 @@ def isend_coro(
     dest: int,
     tag: int,
     comm_id: int = 0,
-):
-    """Sender-side PML coroutine: eager or rendezvous per DESIGN/PROTOCOLS."""
+) -> Future:
+    """Post a send; the returned future resolves with the byte count.
+
+    Eager sends complete at the RTS's delivery, rendezvous sends after
+    the chosen pipeline's last acknowledgement.
+    """
     dt.commit()
     total = dt.size * count
-    dst_proc = world.procs[dest]
-    btl = btl_for(proc, dst_proc)
+    if total > proc.config.eager_limit:
+        return proc.sim.spawn(
+            _rndv_send(world, proc, buf, dt, count, dest, tag, comm_id),
+            label=f"isend r{proc.rank}->r{dest}",
+            eager_start=True,
+        )
+    op = _EagerSend()
+    op.proc = proc
+    op.btl = btl_for(proc, world.procs[dest])
+    op.env = Envelope(
+        source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
+        pair_seq=proc.next_send_seq(dest, comm_id),
+    )
+    op.total = total
+    sim = proc.sim
+    op.t0 = sim.now if proc.log_transfers else 0.0
+    op.done = done = Future(sim, label="eager-send")
+    if _san.RACE is not None:
+        # the operation is its own race actor, ordered after its caller
+        op.actor = _san.RACE.on_spawn(f"isend r{proc.rank}->r{dest}")
+    op.start(buf, dt, count)
+    return done
+
+
+def irecv(
+    world: "MpiWorld",
+    proc: "MpiProcess",
+    buf: Buffer,
+    dt: Datatype,
+    count: int,
+    source: int,
+    tag: int,
+    comm_id: int = 0,
+) -> Future:
+    """Post a receive; the returned future resolves with its :class:`Status`.
+
+    An eager arrival unpacks in the chain; a rendezvous RTS hands the
+    rest of the receive to the rendezvous coroutine.
+    """
+    dt.commit()
+    op = _EagerRecv()
+    op.world = world
+    op.proc = proc
+    op.buf = buf
+    op.dt = dt
+    op.count = count
+    op.result = result = Future(proc.sim, label="eager-recv")
+    if _san.RACE is not None:
+        op.actor = _san.RACE.on_spawn(f"irecv r{proc.rank}<-r{source}")
+    op.start(source, tag, comm_id)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# eager protocol: one callback chain per operation
+# ---------------------------------------------------------------------------
+#
+# Each operation is one slotted object whose steps are its methods, chained
+# on the futures the engines return: no Process, no generator and no
+# closure per message, and a finished operation dies by reference
+# counting.  The first step tests the placement once (docs/PROTOCOLS.md):
+# zero bytes, a host memcpy, the CPU convertor, or the GPU engine through
+# one pooled bounce.  Under the race detector each operation is its own
+# actor; _bind_steps swaps in step forms that run as it, once per
+# sanitizer install (as repro.sim.core does for Future.resolve), so an
+# uninstrumented step carries no sanitizer test.
+
+
+def _eager_header(
+    proc: "MpiProcess", dt: Datatype, count: int, total: int, gdr: bool
+) -> dict:
+    """The (immutable, shareable) eager RTS header for (dt, count, gdr).
+
+    Receivers only ever read headers, so repeated same-shape sends reuse
+    one dict; the cache holds a strong dt ref to keep ``id(dt)`` valid
+    and hits verify identity.
+    """
+    cache = proc._eager_hdr_cache
+    key = (id(dt), count, gdr)
+    hit = cache.get(key)
+    if hit is not None and hit[0] is dt:
+        return hit[1]
+    if len(cache) >= 256:
+        cache.clear()
+    header = {
+        "eager": True,
+        "total": total,
+        "signature": _times(dt.signature, count),
+        "gpudirect": gdr,
+    }
+    cache[key] = (dt, header)
+    return header
+
+
+class _EagerOp:
+    """State and GPU steps shared by an eager send and an eager receive."""
+
+    __slots__ = ("proc", "total", "t0", "gdr", "job", "frag", "bounce",
+                 "actor")
+
+    def run_device(self, job, frag, payload: Optional[np.ndarray]) -> None:
+        """Start the GPU leg: one pooled bounce, the fragment's prep, its kernel.
+
+        A receive first copies the arrived ``payload`` into the bounce.
+        """
+        total = self.total
+        self.job = job
+        self.frag = frag
+        gdr = self.gdr
+        self.bounce = bounce = self.proc.acquire_staging(
+            "device" if gdr else "host", max(total, 256), zero_copy_map=not gdr
+        )
+        if payload is not None:
+            bounce.bytes[:total] = payload[:total]
+        prep = job.prepare_for(frag)
+        if prep is None:
+            self.prepped(None)
+        else:
+            prep.add_callback(self.prepped)
+
+    def prepped(self, _f: Optional[Future]) -> None:
+        self.job.run_kernel(
+            self.frag, self.bounce[: self.total]
+        ).add_callback(self.moved)
+
+    def release_bounce(self) -> None:
+        gdr = self.gdr
+        self.proc.release_staging(
+            "device" if gdr else "host", self.bounce, zero_copy_map=not gdr
+        )
+
+
+class _EagerSend(_EagerOp):
+    """One eager send: pack, ship the RTS with the bytes, resolve on delivery."""
+
+    __slots__ = ("btl", "env", "header", "done", "src", "stage")
+
+    def start(self, buf: Buffer, dt: Datatype, count: int) -> None:
+        proc = self.proc
+        total = self.total
+        host = buf.is_host
+        btl = self.btl
+        gdr = self.gdr = (
+            not host
+            and buf.is_device
+            and getattr(btl, "supports_gpudirect", False)
+            and btl.dst.gpu is not None
+        )
+        self.header = _eager_header(proc, dt, count, total, gdr)
+        self.stage = stage = np.empty(total, dtype=np.uint8)
+        self.src = None
+        if total == 0:
+            self.packed(None)
+        elif not host:
+            job = proc.engine.pack_job(dt, count, buf, proc.config.engine)
+            self.run_device(job, job.single_fragment(), None)
+        elif dt.is_contiguous and (count == 1 or dt.extent == dt.size):
+            # the packed stream is the buffer's first bytes (count > 1
+            # needs extent == size: a resized contiguous type strides its
+            # elements apart, which only the convertor walks)
+            if _san.RACE is not None:
+                _san.RACE.record(buf, 0, buf.nbytes, False,
+                                 label=f"cpu-pack[0:{total}]")
+            self.src = buf.bytes
+            proc.node.cpu_memcpy_engine.transfer(
+                total, label="cpu-pack"
+            ).add_callback(self.packed)
+        else:
+            CpuSideJob(proc, dt, count, buf, "pack").process_range(
+                0, total, stage
+            ).add_callback(self.packed)
+
+    def moved(self, _f: Future) -> None:
+        self.stage[:] = self.bounce.bytes[: self.total]
+        self.release_bounce()
+        self.packed(None)
+
+    def packed(self, _f: Optional[Future]) -> None:
+        src = self.src
+        if src is not None:
+            total = self.total
+            self.stage[0:total] = src[:total]
+        # the NIC reads device memory directly under GPUDirect (degraded
+        # rate beyond the ~30 KB crossover, at wire speed below it)
+        self.btl.am_send(
+            "pml.rts", self.header, payload=self.stage, envelope=self.env,
+            gpudirect=self.gdr,
+        ).add_callback(self.sent)
+
+    def sent(self, _f: Future) -> None:
+        proc = self.proc
+        total = self.total
+        mode = "gpudirect" if self.gdr else ""
+        if proc.log_transfers:
+            proc.record_transfer(TransferStats(
+                tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
+                peer=self.env.dest, protocol="eager", mode=mode,
+                total_bytes=total, frag_bytes=total, fragments=1,
+                max_in_flight=1, start_s=self.t0, end_s=proc.sim.now,
+            ))
+        else:
+            proc.count_transfer("send", "eager", mode, total)
+        self.done.resolve(total)
+
+
+class _EagerRecv(_EagerOp):
+    """One receive: match, then unpack an eager arrival or hand off a rendezvous."""
+
+    __slots__ = ("world", "buf", "dt", "count", "result", "env", "dst",
+                 "payload")
+
+    def start(self, source: int, tag: int, comm_id: int) -> None:
+        proc = self.proc
+        on_match = Future(proc.sim, label=proc._match_label)
+        proc.matching.post(
+            PostedRecv(source=source, tag=tag, comm_id=comm_id,
+                       on_match=on_match)
+        )
+        _ver = _san.VERIFY
+        if _ver is not None:
+            # the wait spans post -> completion: an unmatched post *and* a
+            # protocol stalled mid-transfer both surface as this receive
+            _vtok = _ver.wait_begin(
+                "recv", proc.rank, proc.sim,
+                peer=None if source < 0 else source,
+                tag=None if tag < 0 else tag,
+                comm_id=comm_id, world=self.world,
+            )
+            self.result.add_callback(lambda _f: _ver.wait_end(_vtok))
+        on_match.add_callback(self.matched)
+
+    def matched(self, mf: Future) -> None:
+        env, header, payload, sender_rank = mf._value
+        proc = self.proc
+        dt = self.dt
+        count = self.count
+        try:
+            _signature_check(header["signature"], _times(dt.signature, count))
+        except ValueError as err:
+            self.result.fail(err)
+            return
+        if not header["eager"]:
+            proc.sim.spawn(
+                _rndv_recv(self.world, proc, self.buf, dt, count, env,
+                           header, sender_rank),
+                label="irecv-rest",
+                eager_start=True,
+            ).add_callback(self.finish)
+            return
+        self.env = env
+        self.t0 = proc.sim.now
+        self.gdr = header["gpudirect"]
+        self.dst = None
+        # a receive may be posted larger than the message actually sent:
+        # unpack only the prefix that arrived, leave trailing elements alone
+        total = self.total = min(dt.size * count, len(payload))
+        buf = self.buf
+        if total == 0:
+            self.unpacked(None)
+        elif buf.is_host:
+            if dt.is_contiguous and (count == 1 or dt.extent == dt.size):
+                if _san.RACE is not None:
+                    _san.RACE.record(buf, 0, buf.nbytes, True,
+                                     label=f"cpu-unpack[0:{total}]")
+                self.payload = payload
+                proc.node.cpu_memcpy_engine.transfer(
+                    total, label="cpu-unpack"
+                ).add_callback(self.unpacked)
+                self.dst = buf.bytes
+            else:
+                CpuSideJob(proc, dt, count, buf, "unpack").process_range(
+                    0, total, payload
+                ).add_callback(self.unpacked)
+        else:
+            job = proc.engine.unpack_job(dt, count, buf, proc.config.engine)
+            # a prefix fragment: a short message covers only part of the
+            # posted count
+            self.run_device(job, job.range_fragment(0, 0, total), payload)
+
+    def moved(self, f: Future) -> None:
+        self.release_bounce()
+        self.unpacked(f)
+
+    def unpacked(self, _f: Optional[Future]) -> None:
+        total = self.total
+        dst = self.dst
+        if dst is not None:
+            dst[0:total] = self.payload[:total]
+        proc = self.proc
+        env = self.env
+        mode = "gpudirect" if self.gdr else ""
+        if proc.log_transfers:
+            proc.record_transfer(TransferStats(
+                tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
+                peer=env.source, protocol="eager", mode=mode,
+                total_bytes=total, frag_bytes=total, fragments=1,
+                max_in_flight=1, start_s=self.t0, end_s=proc.sim.now,
+            ))
+        else:
+            proc.count_transfer("recv", "eager", mode, total)
+        self.result.resolve(Status(source=env.source, tag=env.tag,
+                                   count_bytes=total))
+
+    def finish(self, f: Future) -> None:
+        """Mirror the rendezvous coroutine's outcome onto the result."""
+        if f._exception is not None:
+            self.result.fail(f._exception)
+        else:
+            self.result.resolve(f._value)
+
+
+def _as_actor(step):
+    """``step`` run as its operation's race actor, joined with the clock
+    of the future that woke it (the form bound while RACE is installed)."""
+
+    @functools.wraps(step)
+    def tracked(self, *args) -> None:
+        race = _san.RACE
+        actor = getattr(self, "actor", None)
+        if race is None or actor is None:
+            step(self, *args)
+            return
+        # args[0] is the waking future; start's first argument carries no
+        # clock (start runs in its caller's turn, after on_spawn)
+        race.on_resume(actor, getattr(args[0], "_san_snap", None))
+        race.enter(actor)
+        try:
+            step(self, *args)
+        finally:
+            race.exit()
+
+    return tracked
+
+
+#: (class, step) -> (plain form, actor-tracked form)
+_STEP_FORMS = {
+    (cls, name): (cls.__dict__[name], _as_actor(cls.__dict__[name]))
+    for cls, names in (
+        (_EagerOp, ("prepped",)),
+        (_EagerSend, ("start", "moved", "packed", "sent")),
+        (_EagerRecv, ("start", "matched", "moved", "unpacked", "finish")),
+    )
+    for name in names
+}
+
+
+def _bind_steps(instrumented: bool) -> None:
+    """Swap every chain step between its plain and actor-tracked form."""
+    for (cls, name), forms in _STEP_FORMS.items():
+        setattr(cls, name, forms[instrumented])
+
+
+_san.subscribe(_bind_steps)
+
+
+# ---------------------------------------------------------------------------
+# rendezvous protocol
+# ---------------------------------------------------------------------------
+
+
+def _rndv_send(
+    world: "MpiWorld",
+    proc: "MpiProcess",
+    buf: Buffer,
+    dt: Datatype,
+    count: int,
+    dest: int,
+    tag: int,
+    comm_id: int,
+):
+    """Sender-side rendezvous: RTS, wait for the CTS, run the chosen pipeline."""
+    total = dt.size * count
+    btl = btl_for(proc, world.procs[dest])
     env = Envelope(
         source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
         pair_seq=proc.next_send_seq(dest, comm_id),
     )
     cfg = proc.config
-
-    if total <= cfg.eager_limit:
-        gdr = (
-            buf.is_device
-            and getattr(btl, "supports_gpudirect", False)
-            and dst_proc.gpu is not None
-        )
-        t0 = proc.sim.now
-        data = yield from _eager_pack_coro(proc, buf, dt, count, gpudirect=gdr)
-        header = {
-            "eager": True,
-            "total": total,
-            "signature": _times(dt.signature, count),
-            "gpudirect": gdr,
-        }
-        # the NIC reads device memory directly under GPUDirect (degraded
-        # rate beyond the ~30 KB crossover, at wire speed below it)
-        yield btl.am_send(
-            "pml.rts", header, payload=data, envelope=env, gpudirect=gdr
-        )
-        mode = "gpudirect" if gdr else ""
-        if proc.log_transfers:
-            proc.record_transfer(TransferStats(
-                tid=f"{proc.rank}.eager.{next(_tids)}", role="send", peer=dest,
-                protocol="eager", mode=mode,
-                total_bytes=total, frag_bytes=total, fragments=1,
-                max_in_flight=1, start_s=t0, end_s=proc.sim.now,
-            ))
-        else:
-            proc.count_transfer("send", "eager", mode, total)
-        return total
-
     tid = f"{proc.rank}.{next(_tids)}"
     s_info = describe_side(proc, buf, dt, count)
     frag_bytes = cfg.frag_bytes
@@ -289,14 +528,12 @@ def isend_coro(
     state.stats.peer = dest
     # RDMA resources are advertised in the RTS (Fig 4: the connection
     # request carries the memory handle and the local datatype's shape)
-    ring_key = None
     if s_info.loc == "device" and btl.supports_cuda_ipc:
         if s_info.contiguous:
             s_info.handle = IpcMemHandle.get(buf)
         else:
             nbytes = frag_bytes * depth
             state.ring = proc.acquire_staging("device", nbytes)
-            ring_key = nbytes
             s_info.handle = IpcMemHandle.get(state.ring)
 
     cts_box = Mailbox(proc.sim, name=f"{tid}.cts")
@@ -349,45 +586,7 @@ def isend_coro(
     return result
 
 
-def irecv_coro(
-    world: "MpiWorld",
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    source: int,
-    tag: int,
-    comm_id: int = 0,
-):
-    """Receiver-side PML coroutine: match, choose protocol, run it."""
-    dt.commit()
-    on_match = Future(proc.sim, label=proc._match_label)
-    proc.matching.post(
-        PostedRecv(source=source, tag=tag, comm_id=comm_id, on_match=on_match)
-    )
-    _ver = _san.VERIFY
-    _vtok = None
-    if _ver is not None:
-        # the wait spans post -> completion: an unmatched post *and* a
-        # protocol stalled mid-transfer both surface as this receive
-        _vtok = _ver.wait_begin(
-            "recv", proc.rank, proc.sim,
-            peer=None if source < 0 else source,
-            tag=None if tag < 0 else tag,
-            comm_id=comm_id, world=world,
-        )
-    try:
-        env, header, payload, sender_rank = yield on_match
-        status = yield from _matched_recv_coro(
-            world, proc, buf, dt, count, env, header, payload, sender_rank
-        )
-    finally:
-        if _ver is not None:
-            _ver.wait_end(_vtok)
-    return status
-
-
-def _matched_recv_coro(
+def _rndv_recv(
     world: "MpiWorld",
     proc: "MpiProcess",
     buf: Buffer,
@@ -395,34 +594,9 @@ def _matched_recv_coro(
     count: int,
     env,
     header,
-    payload,
     sender_rank: int,
 ):
-    """Everything after the match: check, choose protocol, run it.
-
-    Shared by :func:`irecv_coro` and the rendezvous fallback of the
-    callback-chained :func:`eager_irecv_fast` path.
-    """
-    _signature_check(header["signature"], _times(dt.signature, count))
-
-    if header["eager"]:
-        t0 = proc.sim.now
-        gdr = header.get("gpudirect", False)
-        got = yield from _eager_unpack_coro(
-            proc, buf, dt, count, payload, gpudirect=gdr,
-        )
-        mode = "gpudirect" if gdr else ""
-        if proc.log_transfers:
-            proc.record_transfer(TransferStats(
-                tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                peer=env.source, protocol="eager", mode=mode,
-                total_bytes=got, frag_bytes=got, fragments=1,
-                max_in_flight=1, start_s=t0, end_s=proc.sim.now,
-            ))
-        else:
-            proc.count_transfer("recv", "eager", mode, got)
-        return Status(source=env.source, tag=env.tag, count_bytes=got)
-
+    """Receiver-side rendezvous after the match: choose the protocol, run it."""
     tid = header["tid"]
     s_info: SideInfo = header["side"]
     src_proc = world.procs[sender_rank]
@@ -476,236 +650,3 @@ def rts_handler(world: "MpiWorld", proc: "MpiProcess"):
         proc.matching.arrive(env, arrival)
 
     return handle
-
-
-# ---------------------------------------------------------------------------
-# callback-chained fast paths (host-contiguous eager, unsanitized)
-# ---------------------------------------------------------------------------
-#
-# The coroutine PML above is the source of truth: it handles every
-# placement, protocol, sanitizer, and fault combination.  The two
-# functions below are a hand-scheduled rendering of exactly one slice of
-# it — host buffer, flat-contiguous datatype, eager size, no faults, no
-# sanitizers — chaining future callbacks on one slotted state object per
-# operation instead of spawning a Process per operation.  They issue the
-# *same* engine transfers in the same order at the same simulated times,
-# so modeled results are bit-identical to the coroutine path
-# (tests/mpi/test_eager_equivalence.py); only the Python-side overhead
-# (two Process allocations and ~6 generator resumptions per message)
-# disappears.  Anything they cannot prove safe falls back to the
-# coroutines, which therefore remain the behavioural reference.
-
-
-def eager_fast_ok(proc: "MpiProcess", buf: Buffer, dt: Datatype, count: int) -> bool:
-    """Is the hand-scheduled eager path valid for this operation?"""
-    if proc.faults is not None or _san.RACE is not None or _san.MEM is not None:
-        return False
-    if not buf.is_host:
-        return False
-    dt.commit()
-    return dt.is_contiguous and (count == 1 or dt.extent == dt.size)
-
-
-def _eager_header(proc: "MpiProcess", dt: Datatype, count: int, total: int) -> dict:
-    """The (immutable, shareable) eager RTS header for (dt, count).
-
-    Receivers only ever read headers, so repeated same-shape sends reuse
-    one dict; the cache holds a strong dt ref to keep ``id(dt)`` valid
-    and hits verify identity.
-    """
-    cache = proc._eager_hdr_cache
-    key = (id(dt), count)
-    hit = cache.get(key)
-    if hit is not None and hit[0] is dt:
-        return hit[1]
-    if len(cache) >= 256:
-        cache.clear()
-    header = {
-        "eager": True,
-        "total": total,
-        "signature": _times(dt.signature, count),
-        "gpudirect": False,
-    }
-    cache[key] = (dt, header)
-    return header
-
-
-class _EagerSend:
-    """One host-contiguous eager send, advanced by future callbacks.
-
-    The operation's state lives in this one slotted object and its steps
-    are bound methods, so a send allocates no closures and, once its
-    futures resolve, dies by reference counting.
-    """
-
-    __slots__ = ("proc", "btl", "env", "header", "src", "stage", "t0", "done")
-
-    def packed(self, _f: Optional[Future]) -> None:
-        total = len(self.stage)
-        if total:
-            self.stage[0:total] = self.src[:total]
-        wire = self.btl.am_send("pml.rts", self.header, payload=self.stage,
-                                envelope=self.env)
-        wire.add_callback(self.sent)
-
-    def sent(self, _f: Future) -> None:
-        proc = self.proc
-        total = len(self.stage)
-        if proc.log_transfers:
-            proc.record_transfer(TransferStats(
-                tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
-                peer=self.env.dest, protocol="eager", mode="",
-                total_bytes=total, frag_bytes=total, fragments=1,
-                max_in_flight=1, start_s=self.t0, end_s=proc.sim.now,
-            ))
-        else:
-            proc.count_transfer("send", "eager", "", total)
-        self.done.resolve(total)
-
-
-def eager_isend_fast(
-    world: "MpiWorld",
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    dest: int,
-    tag: int,
-    comm_id: int = 0,
-) -> Future:
-    """Host-contiguous eager send as a callback chain (no Process).
-
-    Returns a future resolving with the byte count at wire delivery — the
-    same completion point and value as the :func:`isend_coro` eager branch.
-    """
-    total = dt.size * count
-    op = _EagerSend()
-    op.proc = proc
-    op.btl = btl_for(proc, world.procs[dest])
-    op.env = Envelope(
-        source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
-        pair_seq=proc.next_send_seq(dest, comm_id),
-    )
-    op.header = _eager_header(proc, dt, count, total)
-    op.stage = np.empty(total, dtype=np.uint8)
-    sim = proc.sim
-    op.t0 = sim.now if proc.log_transfers else 0.0
-    op.done = done = Future(sim, label="eager-send")
-    if total == 0:
-        # zero-byte send: the envelope still travels, the engines don't
-        op.packed(None)
-    else:
-        op.src = buf.bytes
-        proc.node.cpu_memcpy_engine.transfer(
-            total, label="cpu-pack"
-        ).add_callback(op.packed)
-    return done
-
-
-class _EagerRecv:
-    """One host-contiguous receive, advanced by future callbacks.
-
-    Slotted state with bound-method steps, like :class:`_EagerSend`.
-    """
-
-    __slots__ = ("world", "proc", "buf", "dt", "count", "result", "env",
-                 "dst", "payload", "total", "t0")
-
-    def matched(self, mf: Future) -> None:
-        env, header, payload, sender_rank = mf._value
-        proc = self.proc
-        if not header["eager"] or header.get("gpudirect", False):
-            # rendezvous (or a gpudirect eager pack): run the coroutine
-            # continuation and mirror its outcome onto ``result``
-            proc.sim.spawn(
-                _matched_recv_coro(
-                    self.world, proc, self.buf, self.dt, self.count,
-                    env, header, payload, sender_rank,
-                ),
-                label="irecv-rest",
-                eager_start=True,
-            ).add_callback(self.finish)
-            return
-        try:
-            _signature_check(header["signature"],
-                             _times(self.dt.signature, self.count))
-        except BaseException as err:
-            self.result.fail(err)
-            return
-        self.env = env
-        self.t0 = proc.sim.now
-        total = self.total = min(self.dt.size * self.count, len(payload))
-        if total == 0:
-            self.unpacked(None)
-            return
-        self.payload = payload
-        proc.node.cpu_memcpy_engine.transfer(
-            total, label="cpu-unpack"
-        ).add_callback(self.unpacked)
-        self.dst = self.buf.bytes
-
-    def unpacked(self, _f: Optional[Future]) -> None:
-        proc = self.proc
-        env = self.env
-        total = self.total
-        if total:
-            self.dst[0:total] = self.payload[:total]
-        if proc.log_transfers:
-            proc.record_transfer(TransferStats(
-                tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                peer=env.source, protocol="eager", mode="",
-                total_bytes=total, frag_bytes=total, fragments=1,
-                max_in_flight=1, start_s=self.t0, end_s=proc.sim.now,
-            ))
-        else:
-            proc.count_transfer("recv", "eager", "", total)
-        self.result.resolve(Status(source=env.source, tag=env.tag,
-                                   count_bytes=total))
-
-    def finish(self, f: Future) -> None:
-        if f._exception is not None:
-            self.result.fail(f._exception)
-        else:
-            self.result.resolve(f._value)
-
-
-def eager_irecv_fast(
-    world: "MpiWorld",
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    source: int,
-    tag: int,
-    comm_id: int = 0,
-) -> Future:
-    """Host-contiguous receive as a callback chain (no Process).
-
-    Eager arrivals unpack inline; a rendezvous RTS falls back to the
-    coroutine continuation (:func:`_matched_recv_coro`), so the fast
-    path never has to understand the pipelined protocols.  Resolves
-    with the :class:`Status`, like :func:`irecv_coro`.
-    """
-    sim = proc.sim
-    op = _EagerRecv()
-    op.world = world
-    op.proc = proc
-    op.buf = buf
-    op.dt = dt
-    op.count = count
-    op.result = result = Future(sim, label="eager-recv")
-    on_match = Future(sim, label=proc._match_label)
-    on_match.add_callback(op.matched)
-    proc.matching.post(
-        PostedRecv(source=source, tag=tag, comm_id=comm_id, on_match=on_match)
-    )
-    _ver = _san.VERIFY
-    if _ver is not None:
-        _vtok = _ver.wait_begin(
-            "recv", proc.rank, sim,
-            peer=None if source < 0 else source,
-            tag=None if tag < 0 else tag,
-            comm_id=comm_id, world=world,
-        )
-        result.add_callback(lambda _f: _ver.wait_end(_vtok))
-    return result

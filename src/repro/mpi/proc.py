@@ -69,7 +69,7 @@ class MpiProcess:
         self._rt_counters: dict = {}
         #: pre-rendered label for matching futures (one irecv per message)
         self._match_label: str = f"r{rank}.match"
-        #: reusable eager RTS headers keyed (id(dt), count) — headers are
+        #: reusable eager RTS headers keyed (id(dt), count, gpudirect) —
         #: read-only downstream, so same-shape sends share one dict
         self._eager_hdr_cache: dict = {}
         self.ctx: Optional[CudaContext] = CudaContext(gpu) if gpu else None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.sim.core import Future, Process
+from repro.sim.core import Future
 
 __all__ = ["Request", "Status"]
 
@@ -38,46 +38,47 @@ class Request:
     """Handle on an in-flight isend/irecv.
 
     A :class:`Request` *is* awaitable — ranks ``yield req`` to wait —
-    and exposes ``test()`` for polling loops.
+    and exposes ``test()`` for polling loops.  ``future`` is the
+    operation's completion :class:`~repro.sim.core.Future`.
     """
 
-    def __init__(self, proc: Process, kind: str, nbytes: int) -> None:
-        self._proc = proc
+    def __init__(self, future: Future, kind: str, nbytes: int) -> None:
+        self._future = future
         self.kind = kind  # "send" | "recv"
         self.nbytes = nbytes
 
     @property
-    def future(self) -> Process:
-        return self._proc
+    def future(self) -> Future:
+        return self._future
 
     @property
     def done(self) -> bool:
-        return self._proc.done
+        return self._future.done
 
     def test(self) -> bool:
         """Non-blocking completion check (MPI_Test)."""
-        return self._proc.done
+        return self._future.done
 
     @property
     def value(self) -> Any:
-        return self._proc.value
+        return self._future.value
 
     # duck-type as a Future so `yield request` works inside rank programs
     def add_callback(self, cb) -> None:
         """Future-protocol hook so ``yield request`` works in programs."""
-        self._proc.add_callback(cb)
+        self._future.add_callback(cb)
 
     @property
     def failed(self) -> bool:
-        return self._proc.failed
+        return self._future.failed
 
     @property
     def exception(self) -> Optional[BaseException]:
-        return self._proc.exception
+        return self._future.exception
 
     @property
     def _value(self):  # Future resume protocol
-        return self._proc._value
+        return self._future._value
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"

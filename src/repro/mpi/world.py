@@ -22,17 +22,10 @@ from repro.datatype.ddt import Datatype
 from repro.faults.plan import FaultPlan
 from repro.hw.memory import Buffer
 from repro.hw.node import Cluster
+from repro.mpi import pml
 from repro.mpi.comm import Communicator
 from repro.mpi.config import MpiConfig
 from repro.mpi.message import ANY_SOURCE, ANY_TAG
-from repro.mpi.pml import (
-    eager_fast_ok,
-    eager_irecv_fast,
-    eager_isend_fast,
-    irecv_coro,
-    isend_coro,
-    rts_handler,
-)
 from repro.mpi.proc import MpiProcess
 from repro.mpi.requests import Request
 from repro.obs.metrics import MetricsRegistry
@@ -171,7 +164,7 @@ class MpiWorld:
             metrics=self.metrics.scoped(f"r{rank}."),
             faults=self.faults,
         )
-        proc.register_handler("pml.rts", rts_handler(self, proc))
+        proc.register_handler("pml.rts", pml.rts_handler(self, proc))
         return proc
 
     @property
@@ -427,31 +420,20 @@ class RankContext:
         comm: "Communicator | None" = None,
     ) -> Request:
         """Nonblocking send; returns a waitable :class:`Request`."""
+        if not 0 <= dest < self.size:
+            raise ValueError(
+                f"isend: dest={dest} is not a rank of this "
+                f"{self.size}-rank world"
+            )
+        if count < 0:
+            raise ValueError(f"isend: count={count} is negative")
         comm_id = comm.comm_id if comm is not None else 0
         nbytes = datatype.size * count
-        if nbytes <= self.config.eager_limit and eager_fast_ok(
-            self.proc, buf, datatype, count
-        ):
-            fut = eager_isend_fast(
-                self.world, self.proc, buf, datatype, count, dest, tag,
-                comm_id=comm_id,
-            )
-            req = Request(fut, "send", nbytes)
-            if _san.VERIFY is not None:
-                _san.VERIFY.track_request(
-                    self.world, req, self.rank, "send", dest, tag, comm_id,
-                    nbytes,
-                )
-            return req
-        proc = self.sim.spawn(
-            isend_coro(
-                self.world, self.proc, buf, datatype, count, dest, tag,
-                comm_id=comm_id,
-            ),
-            label=f"isend r{self.rank}->r{dest}",
-            eager_start=True,
+        req = Request(
+            pml.isend(self.world, self.proc, buf, datatype, count, dest, tag,
+                      comm_id),
+            "send", nbytes,
         )
-        req = Request(proc, "send", nbytes)
         if _san.VERIFY is not None:
             _san.VERIFY.track_request(
                 self.world, req, self.rank, "send", dest, tag, comm_id, nbytes
@@ -468,29 +450,20 @@ class RankContext:
         comm: "Communicator | None" = None,
     ) -> Request:
         """Nonblocking receive; resolves with a :class:`Status`."""
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise ValueError(
+                f"irecv: source={source} is neither ANY_SOURCE nor a rank "
+                f"of this {self.size}-rank world"
+            )
+        if count < 0:
+            raise ValueError(f"irecv: count={count} is negative")
         comm_id = comm.comm_id if comm is not None else 0
         nbytes = datatype.size * count
-        if eager_fast_ok(self.proc, buf, datatype, count):
-            fut = eager_irecv_fast(
-                self.world, self.proc, buf, datatype, count, source, tag,
-                comm_id=comm_id,
-            )
-            req = Request(fut, "recv", nbytes)
-            if _san.VERIFY is not None:
-                _san.VERIFY.track_request(
-                    self.world, req, self.rank, "recv", source, tag, comm_id,
-                    nbytes,
-                )
-            return req
-        proc = self.sim.spawn(
-            irecv_coro(
-                self.world, self.proc, buf, datatype, count, source, tag,
-                comm_id=comm_id,
-            ),
-            label=f"irecv r{self.rank}<-r{source}",
-            eager_start=True,
+        req = Request(
+            pml.irecv(self.world, self.proc, buf, datatype, count, source, tag,
+                      comm_id),
+            "recv", nbytes,
         )
-        req = Request(proc, "recv", nbytes)
         if _san.VERIFY is not None:
             _san.VERIFY.track_request(
                 self.world, req, self.rank, "recv", source, tag, comm_id,

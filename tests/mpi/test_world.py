@@ -226,6 +226,69 @@ class TestRequests:
             world.run([s, r])
 
 
+class TestArgumentValidation:
+    """Bad point-to-point arguments fail at the call, naming the argument.
+
+    A negative rank used to wrap around the process table (``dest=-1``,
+    which is also ``ANY_SOURCE``, delivered to the last rank), a rank past
+    the end raised a bare ``IndexError``, a negative count failed inside
+    NumPy, and a receive from a nonexistent rank deadlocked the run.
+    """
+
+    def world3(self):
+        return MpiWorld(Cluster(1, 1), [(0, None)] * 3)
+
+    @pytest.mark.parametrize("nbytes", [64, 64 * 1024], ids=["eager", "rndv"])
+    @pytest.mark.parametrize("dest", [-1, -2, 3])
+    def test_send_to_a_nonexistent_rank(self, dest, nbytes):
+        world = self.world3()
+        mpi = world.context(0)
+        buf = mpi.host_alloc(nbytes)
+        with pytest.raises(ValueError, match=f"dest={dest} "):
+            mpi.isend(buf, contiguous(1, BYTE).commit(), nbytes, dest=dest)
+        world.sim.run()  # nothing was posted, so nothing runs
+        assert world.sim.events_processed == 0
+
+    @pytest.mark.parametrize("source", [-2, 3, 5])
+    def test_recv_from_a_nonexistent_rank(self, source):
+        world = self.world3()
+        mpi = world.context(1)
+        with pytest.raises(ValueError, match=f"source={source} "):
+            mpi.irecv(mpi.host_alloc(8), contiguous(1, BYTE).commit(), 8,
+                      source=source)
+        assert world.procs[1].matching.posted_count == 0
+
+    @pytest.mark.parametrize("call", ["isend", "irecv"])
+    def test_negative_count(self, call):
+        world = self.world3()
+        mpi = world.context(0)
+        with pytest.raises(ValueError, match="count=-1 "):
+            getattr(mpi, call)(mpi.host_alloc(8), contiguous(1, BYTE).commit(),
+                               -1, 1)
+
+    def test_edge_ranks_and_any_source_still_deliver(self):
+        world = self.world3()
+        dt = contiguous(1, BYTE).commit()
+        bufs = [world.context(r).host_alloc(16) for r in range(3)]
+        bufs[0].write(np.arange(16, dtype=np.uint8))
+
+        def r0(mpi):
+            yield mpi.wait_all(mpi.isend(bufs[0], dt, 16, dest=2, tag=1),
+                               mpi.isend(bufs[0], dt, 0, dest=0, tag=2))
+            yield mpi.recv(bufs[0], dt, 0, source=0, tag=2)
+
+        def r1(mpi):
+            return
+            yield  # pragma: no cover
+
+        def r2(mpi):
+            st = yield mpi.recv(bufs[2], dt, 16, tag=1)  # ANY_SOURCE
+            assert (st.source, st.count_bytes) == (0, 16)
+
+        world.run([r0, r1, r2])
+        assert np.array_equal(bufs[2].bytes, bufs[0].bytes)
+
+
 class TestBarrier:
     def test_barrier_synchronizes(self):
         world = make_world("cpu")

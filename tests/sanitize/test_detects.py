@@ -134,6 +134,65 @@ def test_slot_reuse_before_deposit_caught(monkeypatch):
     assert any("wire-read" in v.message for v in races)
 
 
+def _eager_access(side: str, device: bool, after_wait: bool):
+    """One eager message r0 -> r1; ``side``'s rank touches its buffer.
+
+    The sender writes its send buffer, or the receiver reads its receive
+    buffer, either right after posting (before the operation completes)
+    or after waiting for it.  Returns the run's race reports.
+    """
+    from repro.datatype.ddt import contiguous
+    from repro.datatype.primitives import BYTE
+    from repro.hw.node import Cluster
+    from repro.mpi.world import MpiWorld
+    from repro.sanitize import runtime
+
+    dt = contiguous(1, BYTE).commit()
+    n = 256
+    with sanitize.enabled(SanitizeOptions.all(mode="record")) as rep:
+        world = MpiWorld(Cluster(1, 2), [(0, 0), (0, 1)])
+        c0, c1 = world.context(0), world.context(1)
+        sbuf = c0.device_alloc(n) if device else c0.host_alloc(n)
+        rbuf = c1.device_alloc(n) if device else c1.host_alloc(n)
+        sbuf.fill(1)
+
+        def touch(mine, buf, req, is_write):
+            if mine and after_wait:
+                yield req
+            if mine:
+                runtime.RACE.record(buf, 0, n, is_write, label="user-access")
+            yield req
+
+        def rank0(mpi):
+            req = mpi.isend(sbuf, dt, n, dest=1, tag=3)
+            yield from touch(side == "send", sbuf, req, True)
+
+        def rank1(mpi):
+            req = mpi.irecv(rbuf, dt, n, source=0, tag=3)
+            yield from touch(side == "recv", rbuf, req, False)
+
+        world.run([rank0, rank1])
+    return rep.by_code("race.unordered_access")
+
+
+@pytest.mark.parametrize(
+    "side, device",
+    [("send", False), ("send", True), ("recv", False), ("recv", True)],
+    ids=["host-send-write", "device-send-write", "host-recv-read",
+         "device-recv-read"],
+)
+def test_eager_buffer_access_before_completion_caught(side, device):
+    """Bug: a rank writes its send buffer, or reads its receive buffer,
+    before its eager isend/irecv completes — MPI forbids both.  The
+    eager chain's accesses must carry the happens-before edges that make
+    the early access a reported race and the access after the wait clean.
+    """
+    races = _eager_access(side, device, after_wait=False)
+    assert races, f"an early {side}-buffer access must race the eager {side}"
+    assert any("user-access" in v.message for v in races)
+    assert _eager_access(side, device, after_wait=True) == []
+
+
 def test_overlapping_dev_list_caught(cluster, monkeypatch):
     """Bug: the CPU-side DEV conversion emits two units packing into the
     same destination bytes (a broken split would corrupt the stream)."""
