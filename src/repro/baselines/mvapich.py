@@ -21,10 +21,12 @@ Consequences reproduced here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datatype.convertor import strided_view
 from repro.datatype.ddt import Datatype
 from repro.datatype.typemap import Spans
 from repro.mpi.proc import MpiProcess
@@ -114,9 +116,9 @@ class MvapichLikeTransfer:
     receiver unpack *sequentially* — faithful to the no-overlap design.
     """
 
-    #: beyond this many cudaMemcpy2D calls the remainder is charged as one
-    #: batched operation with identical per-call costs (bounded Python
-    #: overhead, identical simulated time)
+    #: beyond this many cudaMemcpy2D calls the remainder is one batched
+    #: operation, each call still priced on its own run plus one sync
+    #: (bounded Python overhead, identical simulated time)
     MAX_MODELED_CALLS = 8192
 
     def __init__(self, sender: MpiProcess, receiver: MpiProcess) -> None:
@@ -140,57 +142,53 @@ class MvapichLikeTransfer:
         gpu = proc.gpu
         stream = gpu.stream("mvapich")
         sync_oh = gpu.params.memcpy_call_overhead  # cudaStreamSynchronize
+        link = gpu.copy_engine  # memcpy2d_time uses link bandwidth over PCIe
         if over_pcie:
             link = gpu.d2h_link if direction == "pack" else gpu.h2d_link
-            pcie_bw = link.bandwidth
-        else:
-            link = gpu.copy_engine
-            pcie_bw = 0.0
+        cap = self.MAX_MODELED_CALLS
+        calls = [runs[j : j + 1] for j in range(min(len(runs), cap))]
+        if len(runs) > cap:
+            calls[-1] = runs[cap - 1 :]
         pos = 0
-        for j, run in enumerate(runs):
-            duration = gpu.memcpy2d_time(
-                run.blocklength, run.count, over_pcie=over_pcie, pcie_bw=pcie_bw
+        for call in calls:
+            duration = sum(
+                gpu.memcpy2d_time(r.blocklength, r.count, over_pcie, link.bandwidth)
+                + sync_oh
+                for r in call
             )
-            if j + 1 >= self.MAX_MODELED_CALLS and len(runs) > j + 1:
-                rest = runs[j:]
-                rest_bytes = sum(r.nbytes for r in rest)
-                batched = duration * len(rest)
+            nbytes = sum(r.nbytes for r in call)
 
-                def move_rest(rest=rest, pos=pos) -> None:
-                    self._move_runs(rest, user, stage, pos, direction)
-
-                yield stream.enqueue(
-                    batched + sync_oh * len(rest),
-                    fn=move_rest,
-                    label="mvapich-memcpy2d-batch",
-                    co_links=(link,),
-                    nbytes=rest_bytes,
-                )
-                return
-
-            def move(run=run, pos=pos) -> None:
-                self._move_runs([run], user, stage, pos, direction)
+            def move(call=call, pos=pos) -> None:
+                self._move_runs(call, user, stage, pos, direction)
 
             yield stream.enqueue(
-                duration + sync_oh,
+                duration,
                 fn=move,
-                label="mvapich-memcpy2d",
+                label="mvapich-memcpy2d" + ("-batch" if len(call) > 1 else ""),
                 co_links=(link,),
-                nbytes=run.nbytes,
+                nbytes=nbytes,
             )
-            pos += run.nbytes
+            pos += nbytes
 
     @staticmethod
     def _move_runs(runs, user, stage, pos, direction: str) -> None:
+        """Move each run with one strided view of ``user``, bounds-checked
+        as the convertor's strided executor is."""
         sv = stage.bytes if hasattr(stage, "bytes") else stage
         for run in runs:
-            for i in range(run.count):
-                u0 = run.first_disp + i * run.stride
-                s0 = pos + i * run.blocklength
-                if direction == "pack":
-                    sv[s0 : s0 + run.blocklength] = user[u0 : u0 + run.blocklength]
-                else:
-                    user[u0 : u0 + run.blocklength] = sv[s0 : s0 + run.blocklength]
+            bl = run.blocklength
+            u = math.gcd(bl, run.stride, run.first_disp, 8)
+            rows = strided_view(
+                user, run.first_disp, (run.count, bl // u), (run.stride, u), u
+            )
+            data = sv[pos : pos + run.nbytes].view(rows.dtype).reshape(rows.shape)
+            if direction == "pack":
+                data[:] = rows
+            elif run.stride >= bl:
+                rows[:] = data
+            else:  # overlapping rows: one at a time, so later rows win
+                for i in range(run.count):
+                    rows[i] = data[i]
             pos += run.nbytes
 
     # -- one-way transfers -------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.datatype.convertor import Convertor
+from repro.datatype.convertor import Convertor, pack_bytes, unpack_bytes
 from repro.datatype.ddt import Datatype
 from repro.hw.gpu import Gpu
 from repro.hw.memory import Buffer
@@ -71,18 +71,13 @@ def per_block_d2h_pack(
     gpu = proc.gpu
     spans = dt.spans_for_count(count)
     link = gpu.d2h_link
-    disps, lens = spans.disps, spans.lens
     if spans.count:
 
         def move(_f) -> None:
-            pos = 0
-            sb = src.bytes
-            ob = host_out.bytes
-            for d, l in zip(disps.tolist(), lens.tolist()):
-                ob[pos : pos + l] = sb[d : d + l]
-                pos += l
+            conv = Convertor(dt, count, src.bytes, "pack")
+            conv.pack_range(host_out.bytes, 0, conv.total_bytes)
 
-        fut = link.transfer_many(lens.tolist(), label="per-block-d2h")
+        fut = link.transfer_many(spans.lens.tolist(), label="per-block-d2h")
         fut.add_callback(move)
         yield fut
     return spans.count
@@ -105,18 +100,15 @@ def per_block_d2d_transfer(
     else:
         link = gpu.p2p_links[peer_gpu.name]
         call_oh = 0.0  # the P2P link's own per-op overhead applies
-    disps, lens = spans.disps, spans.lens
     if spans.count:
 
         def move(_f) -> None:
-            sb, db = src.bytes, dst.bytes
-            for d, l in zip(disps.tolist(), lens.tolist()):
-                db[d : d + l] = sb[d : d + l]
+            unpack_bytes(dt, count, dst.bytes, pack_bytes(dt, count, src.bytes))
 
         # each copy pays the engine's per-op overhead plus the memcpy
         # call cost; transfer_many charges both once per block
         fut = link.transfer_many(
-            lens.tolist(), label="per-block-d2d", extra_overhead=call_oh
+            spans.lens.tolist(), label="per-block-d2d", extra_overhead=call_oh
         )
         fut.add_callback(move)
         yield fut

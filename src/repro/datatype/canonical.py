@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,7 +84,7 @@ __all__ = [
 
 #: single gap-free block: one memcpy (CPU) / one-row kernel pass (GPU)
 PLAN_MEMCPY = "memcpy"
-#: uniform vector: strided 2-D slice copies (the cudaMemcpy2D analogue)
+#: 2-D lattice: strided slice copies over one view (cudaMemcpy2D analogue)
 PLAN_STRIDED2D = "strided2d"
 #: uniform vector on the GPU: the specialized vector pack kernel (Sec 3.1)
 PLAN_VECTOR_KERNEL = "vector_kernel"
@@ -190,6 +190,49 @@ def _classify(spans: Spans) -> CanonicalForm:
     )
 
 
+class Lattice(NamedTuple):
+    """``rows`` rows of ``per_row`` one-unit elements, element ``(r, c)`` at
+    byte ``first + r * row_stride + c * elem_stride``, none overlapping."""
+
+    rows: int
+    per_row: int
+    row_stride: int
+    elem_stride: int
+    first: int
+
+
+def _lattice(
+    form: CanonicalForm, unit: int, spans: Optional[Spans] = None
+) -> Optional[Lattice]:
+    """The form's lattice, if any: a vector's rows are its blocks; a runs
+    form's ``spans``, each one unit wide, must follow the formula."""
+    if form.kind == "vector":
+        if math.gcd(form.blocklength, form.stride, form.first_disp) % unit:
+            return None
+        lat = Lattice(form.blocks, form.blocklength // unit, form.stride,
+                      unit, form.first_disp)
+    elif form.kind == "runs" and spans is not None and (spans.lens == unit).all():
+        d = spans.disps
+        es = int(d[1] - d[0])
+        # a row ends where the element stride first breaks
+        breaks = np.flatnonzero(d[2:] - d[1:-1] != es)
+        per_row = int(breaks[0]) + 2 if breaks.size else form.blocks
+        rs = int(d[per_row % form.blocks] - d[0])
+        lat = Lattice(form.blocks // per_row, per_row, rs, es, int(d[0]))
+        grid = np.add.outer(np.arange(lat.rows) * rs, np.arange(per_row) * es)
+        if not np.array_equal(d, grid.ravel() + lat.first):  # also if ragged
+            return None
+    else:
+        return None
+    # elements (r, c) and (r', c') coincide iff (r - r', c' - c) is a
+    # nonzero multiple of (elem_stride, row_stride) / g
+    g = math.gcd(lat.row_stride, lat.elem_stride)
+    if g and (abs(lat.elem_stride) // g >= lat.rows
+              or abs(lat.row_stride) // g >= lat.per_row):
+        return lat
+    return None
+
+
 def _spans_to_indices(spans: Spans, unit: int) -> np.ndarray:
     """Expand byte spans into per-element user offsets (in units)."""
     if spans.count == 0:
@@ -223,6 +266,7 @@ class StreamPlan:
         "true_ub",
         "form",
         "vector_shape",
+        "lattice",
         "cpu_plan",
         "gpu_plan",
         "_gather",
@@ -245,8 +289,10 @@ class StreamPlan:
         self.true_ub = spans.true_ub
         self.form = form
         self.vector_shape = form.vector_shape
+        #: the 2-D lattice the ``strided2d`` plan moves, if the layout is one
+        self.lattice = _lattice(form, unit, spans)
         #: cheapest CPU plan for a unit-aligned base offset
-        self.cpu_plan = select_cpu_plan(form, unit)
+        self.cpu_plan = select_cpu_plan(form, unit, lattice=self.lattice)
         #: cheapest GPU plan when the DEV-path ablation does not pin it
         self.gpu_plan = select_gpu_plan(form)
         self._gather: Optional[np.ndarray] = None
@@ -343,35 +389,25 @@ def plan_cost(form: CanonicalForm, plan: str) -> float:
     return form.size * _BYTE_COST[plan] + form.blocks * _BLOCK_COST[plan]
 
 
-def _cpu_feasible(form: CanonicalForm, unit: int, base_offset: int) -> list:
-    """CPU plans able to execute ``form`` exactly, cheapest-capable first."""
+def select_cpu_plan(
+    form: CanonicalForm, unit: int, base_offset: int = 0,
+    lattice: Optional[Lattice] = None,
+) -> str:
+    """Cheapest feasible CPU pack plan for ``form`` at granularity ``unit``.
+
+    A runs form is a ``lattice`` only when the caller found one in its
+    spans (:attr:`StreamPlan.lattice`); a vector form is its own.
+    """
     if base_offset % unit != 0:
         # the gather map and strided views are element-granular; a
         # sub-unit base shift is only expressible by the stack machine
-        return [PLAN_STACK]
+        return PLAN_STACK
     feasible = []
-    shape = form.vector_shape
-    aligned = shape is not None and (
-        shape.blocklength % unit == 0
-        and shape.stride % unit == 0
-        and shape.first_disp % unit == 0
-        and shape.stride >= shape.blocklength
-        and shape.count > 0
-    )
-    if form.kind == "contig" and aligned:
+    if form.kind == "contig" and math.gcd(form.size, form.first_disp) % unit == 0:
         feasible.append(PLAN_MEMCPY)
-    if form.kind == "vector" and aligned:
+    if (lattice or _lattice(form, unit)) is not None:
         feasible.append(PLAN_STRIDED2D)
-    feasible.append(PLAN_GATHER)
-    feasible.append(PLAN_STACK)
-    return feasible
-
-
-def select_cpu_plan(
-    form: CanonicalForm, unit: int, base_offset: int = 0
-) -> str:
-    """Cheapest feasible CPU pack plan for ``form`` at granularity ``unit``."""
-    feasible = _cpu_feasible(form, unit, base_offset)
+    feasible += (PLAN_GATHER, PLAN_STACK)
     return min(feasible, key=lambda p: plan_cost(form, p))
 
 

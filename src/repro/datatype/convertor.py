@@ -10,9 +10,9 @@ Two interchangeable engines exist:
   plan to a user buffer and runs the plan's executor on every range:
 
   - ``memcpy``    — single gap-free block: one slice copy per range;
-  - ``strided2d`` — uniform vector: head/body/tail slice copies over a
-    strided (block, element) view of the buffer (the CPU counterpart of
-    ``cudaMemcpy2D``);
+  - ``strided2d`` — a 2-D lattice (a vector's blocks, a transpose's
+    columns): head/body/tail slice copies over one strided (row, element)
+    view of the buffer (the CPU counterpart of ``cudaMemcpy2D``);
   - ``gather``    — one fancy-index expression over the plan's gather
     map at the stream unit (8 B for double-based types) — the moral
     equivalent of the paper's cached CUDA_DEV list: it depends only on
@@ -22,7 +22,8 @@ Two interchangeable engines exist:
     and fragment boundaries no precompiled map can express.
 
   A memcpy or strided layout reaching past the end of the bound buffer
-  runs the gather executor instead.
+  runs the bounds-checked gather executor instead.  The baselines move
+  their runs through the same :func:`strided_view`.
 
 Both engines are validated against each other by property tests.
 """
@@ -43,7 +44,8 @@ from repro.datatype.canonical import (
 from repro.datatype.ddt import Datatype
 from repro.datatype.stack import StackMachine, compile_datatype
 
-__all__ = ["Convertor", "gather_indices", "pack_bytes", "unpack_bytes"]
+__all__ = ["Convertor", "gather_indices", "pack_bytes", "strided_view",
+           "unpack_bytes"]
 
 
 def gather_indices(dt: Datatype, count: int = 1) -> tuple[np.ndarray, int]:
@@ -139,16 +141,15 @@ class Convertor:
         return self._idx
 
     def _rows(self) -> np.ndarray:
-        """Strided 2-D (block, element) view of the user buffer."""
+        """Strided 2-D (row, element) view of the user buffer's lattice."""
         if self._rows_view is None:
-            v = self.stream_plan.vector_shape
-            u = self._unit
-            elems = self._elems()
-            item = elems.dtype.itemsize
-            self._rows_view = np.lib.stride_tricks.as_strided(
-                elems[(self.base_offset + v.first_disp) // u :],
-                shape=(v.count, v.blocklength // u),
-                strides=(v.stride // u * item, item),
+            lat = self.stream_plan.lattice
+            self._rows_view = strided_view(
+                self.user,
+                self.base_offset + lat.first,
+                (lat.rows, lat.per_row),
+                (lat.row_stride, lat.elem_stride),
+                self._unit,
             )
         return self._rows_view
 
@@ -161,9 +162,9 @@ class Convertor:
             self.user[a : a + hi - lo] = buf
 
     def _strided(self, buf: np.ndarray, lo: int, hi: int) -> None:
-        """Every fragment of a uniform vector decomposes into (head partial
-        block, whole blocks, tail partial block) — three NumPy slice
-        copies instead of a fancy-index gather over every element."""
+        """Every fragment of a lattice decomposes into (head partial row,
+        whole rows, tail partial row) — three NumPy slice copies instead
+        of a fancy-index gather over every element."""
         rows = self._rows()
         epb = rows.shape[1]
         o = buf.view(rows.dtype)
@@ -331,6 +332,15 @@ def _unit_dtype(u: int):
         # non-power-of-two granularity: fall back to byte records
         return np.dtype((np.void, u))
     return dt
+
+
+def strided_view(buf: np.ndarray, offset: int, shape, strides, unit: int):
+    """``shape`` view of ``unit``-byte elements of ``buf``, the first at byte
+    ``offset``, each axis stepping ``strides`` bytes (either sign).  NumPy
+    checks the extent: one reaching outside ``buf`` raises ``ValueError``."""
+    return np.ndarray(
+        shape, _unit_dtype(unit), buffer=buf, offset=offset, strides=strides
+    )
 
 
 def pack_bytes(dt: Datatype, count: int, user_bytes: np.ndarray) -> np.ndarray:

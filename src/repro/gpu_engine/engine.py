@@ -187,15 +187,13 @@ class PackJob:
             return frags
         units = self.units
         assert units is not None
-        # accumulate units until the fragment budget is reached
-        csum = np.cumsum(units.lens)
+        # a fragment ends before the first unit starting frag_bytes past it
+        starts = units.dst_disps
         i = 0
         unit_lo = 0
         while unit_lo < units.count:
-            base = csum[unit_lo - 1] if unit_lo else 0
-            target = base + frag_bytes
-            unit_hi = int(np.searchsorted(csum, target, side="left")) + 1
-            unit_hi = min(unit_hi, units.count)
+            target = starts[unit_lo] + frag_bytes
+            unit_hi = int(np.searchsorted(starts, target, side="left"))
             lo, hi = units.packed_range(unit_lo, unit_hi)
             frags.append(Fragment(i, lo, hi, unit_lo, unit_hi))
             unit_lo = unit_hi

@@ -13,7 +13,7 @@ counterpart of the paper's observation that the CPU-side conversion is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,12 @@ class WorkUnits:
     """Parallel arrays of <src_disp, dst_disp, length<=S> work units."""
 
     src_disps: np.ndarray
-    dst_disps: np.ndarray
+    dst_disps: np.ndarray  # packed offsets: exclusive prefix sums of lens
     lens: np.ndarray
     unit_size: int  # the S this split used
+    #: block-iteration size -> int64 prefix sums of ceil(len / size), built
+    #: once per unit array by :func:`~repro.gpu_engine.dev_kernel.dev_kernel_stats`
+    iter_prefix: dict = field(default_factory=dict, init=False, compare=False)
 
     @property
     def count(self) -> int:

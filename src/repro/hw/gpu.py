@@ -177,6 +177,8 @@ class Gpu:
         self.d2h_link: Optional[FifoLink] = None
         self.p2p_links: dict[str, FifoLink] = {}
         self.node = None  # set by Node
+        #: bytes one CUDA block retires per DEV-kernel iteration
+        self.block_iter_bytes = params.threads_per_block * params.bytes_per_thread
         self._streams: dict[str, Stream] = {}
         self.default_stream = self.stream("stream0")
 
@@ -213,18 +215,23 @@ class Gpu:
         """Cost of the generic DEV pack/unpack kernel over CUDA_DEV units.
 
         Each unit is retired in whole block iterations of
-        ``threads_per_block * bytes_per_thread`` bytes; partially filled
-        iterations idle the remaining threads (occupancy loss).
+        :attr:`block_iter_bytes`; partially filled iterations idle the
+        remaining threads (occupancy loss).
         """
+        lens = np.asarray(unit_lens, dtype=np.int64)
+        iters = int((-(-lens // self.block_iter_bytes)).sum())
+        return self.dev_kernel_cost(int(lens.sum()), lens.size, iters, grid_blocks)
+
+    def dev_kernel_cost(
+        self, payload: int, n_units: int, block_iters: int,
+        grid_blocks: Optional[int] = None,
+    ) -> KernelStats:
+        """The DEV-kernel cost from the three sums over its units: payload
+        bytes, unit count and whole block iterations."""
         p = self.params
         if grid_blocks is None:
             grid_blocks = p.default_grid_blocks
-        unit_lens = np.asarray(unit_lens, dtype=np.int64)
-        n_units = int(unit_lens.size)
-        payload = int(unit_lens.sum()) if n_units else 0
-        block_iter = p.threads_per_block * p.bytes_per_thread
-        iters = -(-unit_lens // block_iter) if n_units else unit_lens
-        charged = int(iters.sum()) * block_iter if n_units else 0
+        charged = block_iters * self.block_iter_bytes
         bw = self.kernel_bandwidth(grid_blocks)
         transfer = charged / bw if charged else 0.0
         # each block serially fetches its units from the CUDA_DEV array

@@ -335,9 +335,7 @@ def _passive_scatter(target_proc, win_buf, dt, count, stage, total):
         hstage.bytes[:total] = stage[:total]
         dstage = target_proc.acquire_staging("device", max(total, 256))
         yield gpu.memcpy_h2d(dstage[:total], hstage[:total], stream=gpu.stream("rma"))
-        stats = gpu.dev_kernel_stats(
-            _unit_lens(dt, count, gpu.params.dev_unit_size)
-        )
+        stats = _dev_kernel_stats(gpu, dt, count)
         conv = Convertor(dt, count, win_buf.bytes, "unpack")
 
         def move() -> None:
@@ -363,9 +361,7 @@ def _passive_gather(target_proc, win_buf, dt, count, stage, total):
     if win_buf.is_device:
         gpu = win_buf.device
         dstage = target_proc.acquire_staging("device", max(total, 256))
-        stats = gpu.dev_kernel_stats(
-            _unit_lens(dt, count, gpu.params.dev_unit_size)
-        )
+        stats = _dev_kernel_stats(gpu, dt, count)
         conv = Convertor(dt, count, win_buf.bytes, "pack")
 
         def move() -> None:
@@ -387,8 +383,11 @@ def _passive_gather(target_proc, win_buf, dt, count, stage, total):
         yield target_proc.node.cpu_pack_op(total, fn=move, label="rma-pack")
 
 
-def _unit_lens(dt: Datatype, count: int, unit_size: int):
+def _dev_kernel_stats(gpu, dt: Datatype, count: int):
+    """A whole-layout DEV kernel on the GPU engine's one pricing path."""
     from repro.gpu_engine.dev import to_devs
+    from repro.gpu_engine.dev_kernel import dev_kernel_stats
     from repro.gpu_engine.work_units import split_units
 
-    return split_units(to_devs(dt, count), unit_size).lens
+    units = split_units(to_devs(dt, count), gpu.params.dev_unit_size)
+    return dev_kernel_stats(gpu, units)

@@ -1,9 +1,10 @@
-"""Equivalence tests for this PR's hot-path optimizations.
+"""Equivalence tests for the convertor's hot-path optimizations.
 
 Two fast paths must be observationally identical to their references:
 
-* the convertor's uniform-vector strided 2-D executor (``_strided``)
-  vs the gather path and the stack machine;
+* the convertor's strided 2-D executor (``_strided``) over any 2-D
+  lattice — a uniform vector or a lattice of one-unit runs such as a
+  transpose — vs the gather path and the stack machine;
 * the hindexed gap-free-base vectorized span build vs the generic
   per-block tile/shift/coalesce loop.
 """
@@ -11,14 +12,22 @@ Two fast paths must be observationally identical to their references:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datatype.canonical import PLAN_GATHER, PLAN_MEMCPY, PLAN_STRIDED2D
+from repro.datatype.canonical import (
+    PLAN_GATHER,
+    PLAN_MEMCPY,
+    PLAN_STRIDED2D,
+    Lattice,
+    stream_plan,
+)
 from repro.datatype.convertor import Convertor, pack_bytes
-from repro.datatype.ddt import contiguous, hindexed, indexed, vector
+from repro.datatype.ddt import contiguous, hindexed, indexed, resized, vector
 from repro.datatype.primitives import DOUBLE
 from repro.datatype.typemap import Spans, coalesce, concat, tile
+from repro.workloads.matrices import transpose_type
 from tests.datatype.strategies import buffer_for, reference_pack
 
 #: committed Datatype equivalent of the DOUBLE primitive, for the
@@ -141,6 +150,120 @@ class TestStridedFastPath:
         out = np.empty(dt.size, dtype=np.uint8)
         conv.pack(out)
         assert np.array_equal(out, reference_pack(dt, 1, user))
+
+
+@st.composite
+def lattice_types(draw):
+    """A random 2-D lattice of 8- or 16-byte elements as ``(dt, count)``:
+    transposes, strides of either sign, a base displacement, and resized
+    rows tiled ``count`` times."""
+    base = contiguous(draw(st.sampled_from([1, 2])), DOUBLE).commit()
+    w = base.extent
+    if draw(st.booleans()):  # a transpose: n columns of n elements
+        n = draw(st.integers(2, 24))
+        col = resized(vector(n, 1, n, base), 0, w)
+        return contiguous(n, col).commit(), 1
+    tiled = draw(st.booleans())
+    rows, per_row = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rs = w * draw(st.integers(1 if tiled else -30, 30))
+    es = w * draw(st.integers(-12, 12))
+    offs = [r * rs + c * es for r in range(rows) for c in range(per_row)]
+    first = w * draw(st.integers(0, 3)) - min(offs)
+    if tiled:  # one resized row, tiled ``rows`` times by the count
+        row = hindexed([1] * per_row, [first + c * es for c in range(per_row)], base)
+        return resized(row, 0, rs).commit(), rows
+    return hindexed([1] * len(offs), [first + o for o in offs], base).commit(), 1
+
+
+def _convertor(dt, count, user, direction, base, executor=None):
+    conv = Convertor(dt, count, user, direction, base)
+    if executor == "gather":
+        conv._exec = Convertor._gather
+    elif executor == "stack":
+        conv._fallback()
+    return conv
+
+
+class TestLatticeFastPath:
+    """Any 2-D lattice of one-unit elements, not only a vector, binds
+    ``strided2d`` and moves exactly the gather's and the stack's bytes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    def test_transpose_binds_strided_without_gather_map(self, n, rng):
+        dt = transpose_type(n)
+        sp = stream_plan(dt, 1)
+        assert sp.form.kind == "runs" and sp.gpu_plan == PLAN_GATHER
+        assert sp.lattice == Lattice(n, n, 8, 8 * n, 0)
+        user = buffer_for(dt, 1, rng)
+        conv = Convertor(dt, 1, user, "pack")
+        assert conv.plan == PLAN_STRIDED2D
+        packed = np.empty(dt.size, dtype=np.uint8)
+        conv.pack(packed)
+        matrix = user.view(np.uint64).reshape(n, n)
+        assert np.array_equal(packed.view(np.uint64), matrix.T.ravel())
+        back = np.zeros_like(user)
+        conv = Convertor(dt, 1, back, "unpack")
+        assert conv.plan == PLAN_STRIDED2D
+        conv.unpack(packed)
+        assert np.array_equal(back, user)
+        assert sp._gather is None  # the gather map was never built
+
+    def test_overlapping_lattice_does_not_bind(self):
+        # two rows at the same address: an unpack would write bytes twice
+        dt = hindexed([1] * 4, [0, 16, 0, 16], DOUBLE).commit()
+        assert stream_plan(dt, 1).lattice is None
+        assert stream_plan(dt, 1).cpu_plan == PLAN_GATHER
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lattice_types(), shift=st.integers(0, 3),
+           short=st.integers(0, 2), data=st.data())
+    def test_random_lattices_match_gather_and_stack(
+        self, case, shift, short, data
+    ):
+        dt, count = case
+        sp = stream_plan(dt, count)
+        u, total = sp.unit, sp.form.size
+        base = shift * u
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        full = rng.integers(0, 255, base + sp.true_ub, dtype=np.uint8)
+        overlaps = sp.spans.overlaps_self()
+        if sp.form.kind == "runs" and (sp.spans.lens == u).all():
+            # built as a lattice: found unless two elements overlap
+            assert (sp.lattice is None) == overlaps
+            assert (sp.cpu_plan == PLAN_STRIDED2D) != overlaps
+        want = np.empty(total, dtype=np.uint8)
+        _convertor(dt, count, full, "pack", base, "stack").pack(want)
+        cuts = data.draw(st.lists(st.integers(0, total // u), max_size=6))
+        bounds = sorted({0, total, *(c * u for c in cuts)})
+        frags = list(zip(bounds[:-1], bounds[1:]))
+        data.draw(st.randoms()).shuffle(frags)
+        user = full[: len(full) - short * u]
+        if short:
+            # only a short buffer's prefix of whole elements can move
+            assert Convertor(dt, count, user, "pack", base).plan == PLAN_GATHER
+            inside = (sp.gather_map() + shift + 1) * u <= len(user)
+            k = int(np.argmin(inside)) * u
+            with pytest.raises(IndexError):
+                Convertor(dt, count, user, "pack", base).pack_range(
+                    np.empty(u, dtype=np.uint8), k, k + u
+                )
+            frags = [(lo, min(hi, k)) for lo, hi in frags if lo < k]
+        for executor in (None, "gather"):
+            conv = _convertor(dt, count, user, "pack", base, executor)
+            for lo, hi in frags:
+                out = np.empty(hi - lo, dtype=np.uint8)
+                conv.pack_range(out, lo, hi)
+                assert np.array_equal(out, want[lo:hi]), (executor, lo, hi)
+        if short or overlaps:
+            return  # which duplicate an unpack keeps is the gather's choice
+        stack = np.zeros_like(full)
+        _convertor(dt, count, stack, "unpack", base, "stack").unpack(want)
+        for executor in (None, "gather"):
+            back = np.zeros_like(full)
+            conv = _convertor(dt, count, back, "unpack", base, executor)
+            for lo, hi in frags:
+                conv.unpack_range(want[lo:hi], lo, hi)
+            assert np.array_equal(back, stack), executor
 
 
 def reference_hindexed_spans(bls, disps, base) -> Spans:

@@ -213,3 +213,28 @@ class TestMvapichBatchPath:
         assert np.array_equal(
             pack_bytes(T, 1, b1.bytes), pack_bytes(T, 1, b0.bytes)
         )
+
+    @staticmethod
+    def _transfer_time(kind, dt):
+        from repro.baselines.mvapich import MvapichLikeTransfer
+        from repro.mpi.proc import MpiProcess
+
+        c = Cluster(1, 2) if kind == "sm" else Cluster(2, 1)
+        gpus = [g for n in c.nodes for g in n.gpus]
+        p0 = MpiProcess(0, gpus[0].node, gpus[0], MpiConfig())
+        p1 = MpiProcess(1, gpus[1].node, gpus[1], MpiConfig())
+        b0, b1 = p0.ctx.malloc(dt.extent), p1.ctx.malloc(dt.extent)
+        xfer = MvapichLikeTransfer(p0, p1)
+        c.sim.run_until_complete(c.sim.spawn(xfer.transfer(b0, dt, 1, b1, dt, 1)))
+        return c.sim.now
+
+    @pytest.mark.parametrize("kind", ["sm", "ib"])
+    def test_batched_time_equals_unbatched(self, kind, monkeypatch):
+        """The batch prices each remaining call on its own run: a
+        triangle's runs all differ in length, and the time must not."""
+        from repro.baselines.mvapich import MvapichLikeTransfer
+
+        T = lower_triangular_type(64)
+        unbatched = self._transfer_time(kind, T)
+        monkeypatch.setattr(MvapichLikeTransfer, "MAX_MODELED_CALLS", 8)
+        assert self._transfer_time(kind, T) == pytest.approx(unbatched, rel=1e-12)
