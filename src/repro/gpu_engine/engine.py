@@ -35,7 +35,7 @@ from repro.datatype.ddt import Datatype, VectorShape
 from repro.gpu_engine.cache import DevCache
 from repro.gpu_engine.dev import to_devs
 from repro.gpu_engine.dev_kernel import dev_kernel_stats
-from repro.gpu_engine.vector_kernel import vector_kernel_stats
+from repro.gpu_engine.vector_kernel import is_aligned
 from repro.gpu_engine.work_units import WorkUnits, split_units
 from repro.hw.gpu import Gpu, KernelStats, Stream
 from repro.hw.memory import Buffer
@@ -61,6 +61,17 @@ class EngineOptions:
     grid_blocks: Optional[int] = None
     #: force the generic DEV path even for vector-describable types
     force_dev_path: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("unit_size", "grid_blocks"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                # grid_blocks=0 divides by zero inside a launch, a negative
+                # grid prices a negative kernel bandwidth, and unit_size=0
+                # would silently fall back to the default unit
+                raise ValueError(
+                    f"EngineOptions.{name} must be None or >= 1, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,8 @@ class PackJob:
         self.vector_shape: Optional[VectorShape] = shape
         #: vector/memcpy kernel (no DEV preparation) vs the DEV path
         self.uses_vector_kernel = shape is not None
+        #: every row 8-byte aligned (no prologue/epilogue); vector path only
+        self.aligned = shape is not None and is_aligned(shape)
         engine._m_plans[self.plan].inc()
         self.units: Optional[WorkUnits] = None
         self._prepped_units = 0
@@ -276,11 +289,8 @@ class PackJob:
             # fractional rows: a fragment may cover part of a huge row
             # (e.g. a contiguous type is one row of the whole message)
             rows = (frag.hi - frag.lo) / max(1, shape.blocklength)
-            return vector_kernel_stats(
-                self.gpu,
-                shape,
-                rows=rows,
-                grid_blocks=self.options.grid_blocks,
+            return self.gpu.vector_kernel_stats(
+                rows, shape.blocklength, self.options.grid_blocks, self.aligned
             )
         return dev_kernel_stats(
             self.gpu,
@@ -488,7 +498,9 @@ class PackJob:
             kernel_futs.append(
                 self.run_kernel(frag, contig[frag.lo : frag.hi], stream)
             )
-        if kernel_futs:
+        if len(kernel_futs) == 1:
+            yield kernel_futs[0]
+        elif kernel_futs:
             yield all_of(self.gpu.sim, kernel_futs)
         return self.total_bytes
 

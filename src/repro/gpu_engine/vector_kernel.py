@@ -8,15 +8,15 @@ prologue/middle/epilogue split when the block is not 8-byte aligned.
 
 No CPU-side preparation exists for this kernel: that is why the paper's
 Fig 7 shows pipeline/cached variants only for the indexed (triangular)
-type — the vector path has nothing to prepare or cache.
+type — the vector path has nothing to prepare or cache.  Its cost model
+is :meth:`repro.hw.gpu.Gpu.vector_kernel_stats`.
 """
 
 from __future__ import annotations
 
 from repro.datatype.ddt import VectorShape
-from repro.hw.gpu import Gpu, KernelStats
 
-__all__ = ["vector_kernel_stats", "is_aligned"]
+__all__ = ["is_aligned"]
 
 
 def is_aligned(shape: VectorShape) -> bool:
@@ -25,23 +25,4 @@ def is_aligned(shape: VectorShape) -> bool:
         shape.blocklength % 8 == 0
         and shape.first_disp % 8 == 0
         and shape.stride % 8 == 0
-    )
-
-
-def vector_kernel_stats(
-    gpu: Gpu,
-    shape: VectorShape,
-    rows: int | None = None,
-    grid_blocks: int | None = None,
-) -> KernelStats:
-    """Kernel cost for packing/unpacking ``rows`` blocks of the shape.
-
-    ``rows`` defaults to the full count (fragments pass a sub-range).
-    """
-    n = shape.count if rows is None else rows
-    return gpu.vector_kernel_stats(
-        count=n,
-        blocklength_bytes=shape.blocklength,
-        grid_blocks=grid_blocks,
-        aligned=is_aligned(shape),
     )

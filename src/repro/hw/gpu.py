@@ -44,6 +44,10 @@ from repro.sim.trace import Tracer
 
 __all__ = ["Gpu", "Stream", "KernelStats"]
 
+#: vector-kernel price memo bound per GPU; cleared when full (a steady
+#: workload draws a handful of fragment shapes per GPU)
+_VECTOR_PRICES_MAX = 256
+
 
 @dataclass(frozen=True)
 class KernelStats:
@@ -120,10 +124,9 @@ class Stream:
         for link in co_links:
             link.occupy_until(end, nbytes=nbytes, label=label)
         self.ops += 1
-        if self.gpu.tracer:
-            self.gpu.tracer.record(
-                f"{self.gpu.name}.{self.name}", start, end, label, nbytes
-            )
+        tracer = self.gpu.tracer
+        if tracer is not None:
+            tracer.record(f"{self.gpu.name}.{self.name}", start, end, label, nbytes)
         fut = Future(self.sim, label=label or f"{self.gpu.name}.{self.name}.op")
         if _san.RACE is not None:
             # launch order is an HB edge into the stream; the completion
@@ -137,7 +140,7 @@ class Stream:
                 fn()
             fut.resolve(payload)
 
-        self.sim.call_at(end, complete)
+        self.sim.schedule_at(end, complete)
         return fut
 
     def synchronize(self) -> Future:
@@ -146,7 +149,7 @@ class Stream:
         if _san.RACE is not None:
             # sync waits for all queued work: waiter inherits the stream clock
             fut._san_snap = _san.RACE.actor_snapshot(self._san_actor)
-        self.sim.call_at(max(self.sim.now, self._busy_until), fut.resolve)
+        self.sim.schedule_at(max(self.sim.now, self._busy_until), fut.resolve)
         return fut
 
 
@@ -163,7 +166,9 @@ class Gpu:
         self.sim = sim
         self.params = params
         self.name = name
-        self.tracer = tracer
+        # a falsy tracer (NullTracer) is stored as None, as FifoLink does,
+        # so a stream operation tests identity, not __bool__
+        self.tracer = tracer if tracer else None
         self.memory = Memory(f"{name}.mem", params.memory_capacity, MemoryKind.DEVICE, owner=self)
         #: fraction of the GPU consumed by a co-running application (S5.4)
         self.contention = 0.0
@@ -179,6 +184,9 @@ class Gpu:
         self.node = None  # set by Node
         #: bytes one CUDA block retires per DEV-kernel iteration
         self.block_iter_bytes = params.threads_per_block * params.bytes_per_thread
+        #: vector-kernel prices by every input the formula reads (see
+        #: vector_kernel_stats); fragments of one layout repeat a few keys
+        self._vector_prices: dict[tuple, KernelStats] = {}
         self._streams: dict[str, Stream] = {}
         self.default_stream = self.stream("stream0")
 
@@ -262,7 +270,21 @@ class Gpu:
 
         ``count`` may be fractional: a pipeline fragment covering part of
         a (possibly huge) row is charged proportionally.
+
+        The frozen result is memoized per GPU on every input the formula
+        reads (the parameters are fixed for the GPU's life), so a launch
+        that repeats an earlier fragment's shape prices with one lookup.
+        The key holds ``count``'s type too: ``n_units`` returns it as
+        given, and ``1 == 1.0`` would otherwise share an entry.
         """
+        key = (count, type(count), blocklength_bytes, grid_blocks, aligned,
+               self.contention)
+        prices = self._vector_prices
+        stats = prices.get(key)
+        if stats is not None:
+            return stats
+        if len(prices) >= _VECTOR_PRICES_MAX:
+            prices.clear()
         p = self.params
         if grid_blocks is None:
             grid_blocks = p.default_grid_blocks
@@ -276,7 +298,7 @@ class Gpu:
         transfer = charged / bw if charged else 0.0
         overhead = (count / max(1, grid_blocks)) * p.vector_row_overhead
         overhead /= self._avail()
-        return KernelStats(
+        stats = prices[key] = KernelStats(
             payload_bytes=payload,
             charged_bytes=charged,
             n_units=count,
@@ -284,6 +306,7 @@ class Gpu:
             transfer_time=transfer,
             overhead_time=overhead,
         )
+        return stats
 
     def memcpy_time(self, nbytes: int) -> float:
         """Duration of a contiguous in-device ``cudaMemcpy`` (D2D)."""

@@ -598,14 +598,17 @@ def _run(mpi, op, algorithm, is_device, peer_bytes, nbytes, build):
     rounds = build(algo)
     if not rounds:  # a one-rank bcast moves nothing
         return nbytes
+    # the verifier that opened the frame closes it: a stuck call's
+    # generator may be closed by the collector after uninstall
+    verify = _san.VERIFY
     vkey = None
-    if _san.VERIFY is not None:
-        vkey = _san.VERIFY.coll_begin(mpi.world, mpi.rank, op, seq, algo.value)
+    if verify is not None:
+        vkey = verify.coll_begin(mpi.world, mpi.rank, op, seq, algo.value)
     try:
         yield from _EXECUTORS[algo](mpi, rounds, op, seq)
     finally:
         if vkey is not None:
-            _san.VERIFY.coll_end(vkey)
+            verify.coll_end(vkey)
     return nbytes
 
 

@@ -118,21 +118,18 @@ def byte_ranges(total: int, frag: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + frag, total)) for lo in range(0, total, frag)]
 
 
-def host_ring(state: "TransferState", zero_copy: bool = False):
-    """Acquire the pooled host staging ring and its ``depth`` slots.
+def host_ring(state: "TransferState", zero_copy: bool = False) -> Buffer:
+    """Acquire the pooled host staging ring of ``depth`` fragment slots.
 
-    Fragment ``i`` lives in slot ``i % depth``.  A slot holds a sent
-    fragment until that fragment's ACK returns its credit, since the
-    receiver reads the fragment in place (see ``Btl.am_send``).
-    ``zero_copy`` UMA-maps the ring for the GPU.
+    Fragment ``i`` lives in slot ``i % depth``, at byte offset
+    ``(i % depth) * frag_bytes``; callers slice just that slot when the
+    fragment comes up.  A slot holds a sent fragment until that
+    fragment's ACK returns its credit, since the receiver reads the
+    fragment in place (see ``Btl.am_send``).  ``zero_copy`` UMA-maps the
+    ring for the GPU.
     """
     nbytes = state.frag_bytes * state.depth
-    ring = state.proc.acquire_staging("host", nbytes, zero_copy_map=zero_copy)
-    segs = [
-        ring[i * state.frag_bytes : (i + 1) * state.frag_bytes]
-        for i in range(state.depth)
-    ]
-    return ring, segs
+    return state.proc.acquire_staging("host", nbytes, zero_copy_map=zero_copy)
 
 
 def deposit(payload, seg: Buffer) -> None:

@@ -42,7 +42,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
 
     on_device = s_info.loc == "device"
     zero_copy = on_device and cfg.zero_copy
-    ring, segs = host_ring(state, zero_copy)
+    ring = host_ring(state, zero_copy)
     dev_stage = None
     if on_device and not zero_copy:
         dev_stage = proc.acquire_staging(
@@ -55,7 +55,9 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
             job = CpuSideJob(proc, state.dt, state.count, state.buf, "pack")
         for i, (lo, hi) in enumerate(ranges):
             yield state.acquire_credit()
-            seg = segs[i % state.depth][: hi - lo]
+            # fragment i's slot in the host ring and the device stage
+            at = i % state.depth * state.frag_bytes
+            seg = ring[at : at + hi - lo]
             if on_device:
                 frag = job.range_fragment(i, lo, hi)
                 if zero_copy:
@@ -63,7 +65,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
                     # host segment, PCIe co-occupied (Fig 7's "cpy")
                     yield from job.process_fragment(frag, seg)
                 else:
-                    dseg = segs_dev(dev_stage, state, i)[: hi - lo]
+                    dseg = dev_stage[at : at + hi - lo]
                     yield from job.process_fragment(frag, dseg)
                     yield proc.gpu.memcpy_d2h(seg, dseg)
             else:
@@ -76,12 +78,6 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
             proc.release_staging("device", dev_stage)
         state.unbind_all("ack")
     return state.total
-
-
-def segs_dev(dev_stage, state: TransferState, i: int):
-    """Device-staging ring segment for fragment ``i``."""
-    lo = (i % state.depth) * state.frag_bytes
-    return dev_stage[lo : lo + state.frag_bytes]
 
 
 def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
@@ -99,7 +95,7 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
         return state.total
     on_device = r_info.loc == "device"
     zero_copy = on_device and cfg.zero_copy
-    ring, segs = host_ring(state, zero_copy)
+    ring = host_ring(state, zero_copy)
     dev_stage = None
     if on_device and not zero_copy:
         dev_stage = proc.acquire_staging("device", state.frag_bytes * state.depth)
@@ -116,7 +112,8 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
             fresh += 1
             state.frag_begin()
             i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
-            seg = segs[i % state.depth][: hi - lo]
+            at = i % state.depth * state.frag_bytes
+            seg = ring[at : at + hi - lo]
             # the wire deposits the fragment into our posted staging
             deposit(pkt.payload, seg)
             if on_device:
@@ -124,7 +121,7 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
                 if zero_copy:
                     yield from job.process_fragment(frag, seg)
                 else:
-                    dseg = segs_dev(dev_stage, state, i)[: hi - lo]
+                    dseg = dev_stage[at : at + hi - lo]
                     yield proc.gpu.memcpy_h2d(dseg, seg)
                     yield from job.process_fragment(frag, dseg)
             else:

@@ -39,14 +39,15 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
     job = CpuSideJob(proc, state.dt, state.count, state.buf, "pack")
     ring = None
     if ranges and not s_info.contiguous:
-        ring, segs = host_ring(state)
+        ring = host_ring(state)
     try:
         for i, (lo, hi) in enumerate(ranges):
             yield state.acquire_credit()
             if ring is None:
                 payload = state.buf[lo:hi]
             else:
-                payload = segs[i % state.depth][: hi - lo]
+                at = i % state.depth * state.frag_bytes
+                payload = ring[at : at + hi - lo]
                 yield job.process_range(lo, hi, payload)
             state.send_frag({"i": i, "lo": lo, "hi": hi}, payload=payload)
         yield all_acked

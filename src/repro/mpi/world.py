@@ -149,7 +149,9 @@ class MpiWorld:
         #: in the current stats window
         self._run_wall_s = 0.0
         self._sim_elapsed_s = 0.0
-        #: garbage collections per generation during those ``run`` calls
+        #: garbage collections per generation during those ``run`` calls;
+        #: automatic collection is paused there, so only the collections a
+        #: program triggers itself count
         self._gc_collections = [0] * len(gc.get_stats())
         #: MPI_COMM_WORLD
         self.comm_world = Communicator(self, comm_id=0)
@@ -203,28 +205,41 @@ class MpiWorld:
 
         ``programs`` maps rank -> program; a sequence assigns by index.
         Each program is called with its rank's :class:`RankContext`.
+
+        Automatic garbage collection stays paused for the whole call, as
+        in :meth:`Simulator.run`: a wide world's spawns alone would
+        otherwise trigger young collections, and the allocations the
+        paused loop counted would trigger one in the window's own
+        bookkeeping.
         """
-        if not isinstance(programs, dict):
-            programs = dict(enumerate(programs))
-        t0 = self.sim.now
-        gc0 = gc.get_stats()
-        wall0 = _time.perf_counter()
-        procs: list[Process] = []
-        for rank, fn in programs.items():
-            mpi = self.context(rank)
-            procs.append(self.sim.spawn(fn(mpi), label=f"rank{rank}"))
-        done = all_of(self.sim, procs, label="world.run")
-        self.sim.run_until_complete(done, limit=limit)
-        if _san.RACE is not None:
-            # the caller resumes after every rank's program, so the next
-            # run (spawned from the caller) happens after this one
-            _san.RACE.join_actor(_san.RACE.current, done._san_snap)
-        elapsed = self.sim.now - t0
-        self._run_wall_s += _time.perf_counter() - wall0
-        self._sim_elapsed_s += elapsed
-        for g, (a, b) in enumerate(zip(gc0, gc.get_stats())):
-            self._gc_collections[g] += b["collections"] - a["collections"]
-        return elapsed
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            if not isinstance(programs, dict):
+                programs = dict(enumerate(programs))
+            t0 = self.sim.now
+            gc0 = gc.get_stats()
+            wall0 = _time.perf_counter()
+            procs: list[Process] = []
+            for rank, fn in programs.items():
+                mpi = self.context(rank)
+                procs.append(self.sim.spawn(fn(mpi), label=f"rank{rank}"))
+            done = all_of(self.sim, procs, label="world.run")
+            self.sim.run_until_complete(done, limit=limit)
+            if _san.RACE is not None:
+                # the caller resumes after every rank's program, so the
+                # next run (spawned from the caller) happens after this one
+                _san.RACE.join_actor(_san.RACE.current, done._san_snap)
+            elapsed = self.sim.now - t0
+            self._run_wall_s += _time.perf_counter() - wall0
+            self._sim_elapsed_s += elapsed
+            for g, (a, b) in enumerate(zip(gc0, gc.get_stats())):
+                self._gc_collections[g] += b["collections"] - a["collections"]
+            return elapsed
+        finally:
+            if paused:
+                gc.enable()
 
     def finalize(self) -> list:
         """``MPI_Finalize``-style teardown audit (verifier-gated).

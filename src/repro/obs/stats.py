@@ -216,8 +216,9 @@ class WorldStats:
     #: simulated seconds elapsed across the window's ``run`` calls
     sim_elapsed_s: float = 0.0
     #: Python garbage collections per generation (youngest first) during
-    #: the window's ``run`` calls — informational: the collector's cadence
-    #: differs between Python versions, so no gate reads it
+    #: the window's ``run`` calls.  ``world.run`` pauses automatic
+    #: collection, so this counts only collections a program triggers
+    #: itself (``gc.collect()``); no gate reads it
     gc_collections: tuple = ()
     #: flat snapshot of the world's metrics registry
     metrics: dict = field(default_factory=dict)

@@ -38,10 +38,14 @@ Performance notes (see ``docs/SIM_PERF.md``):
   per-event branches: :func:`repro.sanitize.runtime.subscribe` swaps fast
   vs. instrumented method bindings once at ``sanitize.enable``/``disable``
   time, so the uninstrumented hot path pays zero sanitizer cost.
+* :meth:`Simulator.run` pauses CPython's automatic cyclic collector while
+  the loop runs: the message path builds no reference cycles, so every
+  pass inside a run would walk live objects and find nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -606,9 +610,23 @@ class Simulator:
         """Execute events until the queue drains or ``until`` is reached.
 
         Returns the simulated time when execution stopped.
+
+        Automatic garbage collection is paused while the loop runs and
+        re-enabled on the way out (also when an event raises) only if
+        this call disabled it; an explicit ``gc.collect()`` still runs.
+        The message path frees everything by reference counting
+        (docs/SIM_PERF.md "Heap and garbage collection"), so the passes
+        the pause skips would find no garbage.
         """
-        with _phases.measure(_phases.SIM_RUN):
-            return self._run(until)
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            with _phases.measure(_phases.SIM_RUN):
+                return self._run(until)
+        finally:
+            if paused:
+                gc.enable()
 
     def _run(self, until: Optional[float] = None) -> float:
         heap = self._heap

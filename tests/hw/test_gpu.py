@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.gpu import _VECTOR_PRICES_MAX, Gpu
 from repro.hw.node import Cluster
 from repro.hw.params import GpuParams
+from repro.sim.core import Simulator
 
 
 class TestStreams:
@@ -191,3 +193,83 @@ class TestKernelCostModel:
         half = gpu.vector_kernel_stats(0.5, 1 << 20)
         assert half.payload_bytes == whole.payload_bytes // 2
         assert half.transfer_time < whole.transfer_time
+
+
+def fresh_vector_price(gpu, *args):
+    """The launch priced by a GPU of the same parameters and contention
+    that has never priced one (nothing memoized)."""
+    other = Gpu(Simulator(), gpu.params)
+    other.contention = gpu.contention
+    return other.vector_kernel_stats(*args)
+
+
+#: a vector launch: rows (an int, or a fragment's fractional bytes /
+#: blocklength, as PackJob passes), blocklength bytes, grid, alignment
+vector_launches = st.tuples(
+    st.one_of(
+        st.integers(0, 5000),
+        st.tuples(st.integers(0, 1 << 22), st.integers(1, 1 << 14)).map(
+            lambda t: t[0] / t[1]
+        ),
+    ),
+    st.integers(1, 1 << 14),
+    st.one_of(st.none(), st.integers(1, 240)),
+    st.booleans(),
+)
+
+
+class TestVectorPriceMemo:
+    """``Gpu.vector_kernel_stats`` memoizes its frozen result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        launches=st.lists(
+            st.tuples(vector_launches, st.sampled_from([0.0, 0.25, 0.6])),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_equals_a_fresh_evaluation(self, launches):
+        gpu = Cluster(1, 1).nodes[0].gpus[0]
+        for (rows, bl, grid, aligned), contention in launches:
+            # the launch, then one input changed at a time, then the
+            # launch again (a memo hit): every key field must tell apart
+            for args, cont in (
+                ((rows, bl, grid, aligned), contention),
+                ((rows, bl, 8 if grid is None else None, aligned), contention),
+                ((rows, bl, grid, not aligned), contention),
+                ((rows, bl + 8, grid, aligned), contention),
+                ((rows + 1, bl, grid, aligned), contention),
+                ((rows, bl, grid, aligned), 0.9 - contention),
+                ((rows, bl, grid, aligned), contention),
+            ):
+                gpu.contention = cont
+                got = gpu.vector_kernel_stats(*args)
+                assert repr(got) == repr(fresh_vector_price(gpu, *args)), args
+
+    def test_contention_change_between_identical_launches(self, gpu):
+        launch = (100.5, 4096, None, True)
+        before = gpu.vector_kernel_stats(*launch)
+        gpu.contention = 0.5
+        try:
+            after = gpu.vector_kernel_stats(*launch)
+            assert repr(after) == repr(fresh_vector_price(gpu, *launch))
+        finally:
+            gpu.contention = 0.0
+        assert after.transfer_time > before.transfer_time
+        assert gpu.vector_kernel_stats(*launch) is before
+
+    def test_int_and_float_rows_keep_their_type(self, gpu):
+        # 1 == 1.0 hash alike, but n_units returns rows as given
+        assert repr(gpu.vector_kernel_stats(1, 256)) == repr(
+            fresh_vector_price(gpu, 1, 256))
+        assert repr(gpu.vector_kernel_stats(1.0, 256)) == repr(
+            fresh_vector_price(gpu, 1.0, 256))
+
+    def test_stays_bounded(self, gpu):
+        for i in range(3 * _VECTOR_PRICES_MAX):
+            gpu.vector_kernel_stats(1.0 + i, 256)
+            assert len(gpu._vector_prices) <= _VECTOR_PRICES_MAX
+        launch = (7.25, 192, 3, False)
+        assert repr(gpu.vector_kernel_stats(*launch)) == repr(
+            fresh_vector_price(gpu, *launch))
+

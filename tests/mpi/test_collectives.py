@@ -7,7 +7,8 @@ import pytest
 
 from repro.datatype.convertor import pack_bytes
 from repro.datatype.ddt import contiguous
-from repro.datatype.primitives import DOUBLE
+from repro import sanitize
+from repro.datatype.primitives import BYTE, DOUBLE
 from repro.faults.plan import FaultSpec
 from repro.hw.node import Cluster
 from repro.mpi.collectives import (
@@ -24,6 +25,8 @@ from repro.mpi.collectives import (
 )
 from repro.mpi.config import MpiConfig
 from repro.mpi.world import MpiWorld
+from repro.sanitize import SanitizeOptions
+from repro.sim.core import SimulationError
 from repro.workloads.matrices import lower_triangular_type
 
 
@@ -389,6 +392,46 @@ class TestAlltoall:
 
         with pytest.raises(ValueError, match="unknown collective algorithm"):
             world.run({r: program(r) for r in range(2)})
+
+    @pytest.mark.xfail(
+        strict=True, raises=SimulationError,
+        reason="docs/COLLECTIVES.md known limit: staged drops the zero-byte "
+        "legs nonblocking posts (ROADMAP item 6)",
+    )
+    def test_auto_alltoallv_zero_counts_mixed_placement(self, rng):
+        """Under ``auto`` the device ranks stage and the host ranks take
+        the nonblocking rung; a zero count between them leaves one side
+        waiting for a leg the other never posts."""
+        world = MpiWorld(Cluster(2, 1), [(0, 0), (1, 0), (0, None), (1, None)])
+        size = 4
+        rec = contiguous(64, BYTE).commit()
+        counts = np.array([[2, 0, 3, 1], [1, 2, 0, 4], [0, 3, 1, 2], [4, 1, 2, 0]])
+
+        def alloc(r):
+            proc = world.procs[r]
+            if proc.gpu is not None:
+                return proc.ctx.malloc(4 * rec.size)
+            return proc.node.host_memory.alloc(4 * rec.size)
+
+        send = [[alloc(r) for _d in range(size)] for r in range(size)]
+        recv = [[alloc(r) for _s in range(size)] for r in range(size)]
+        for row in send:
+            for b in row:
+                b.write(rng.integers(0, 256, b.nbytes, dtype=np.uint8))
+
+        def program(mpi):
+            r = mpi.rank
+            yield from alltoallv(mpi, send[r], rec, counts[r].tolist(),
+                                 recv[r], rec, counts[:, r].tolist())
+
+        # the stuck run's verify.deadlock findings (REPRO_SANITIZE=verify
+        # or all) go to an isolated report, not the session's
+        with sanitize.enabled(SanitizeOptions.from_env()):
+            world.run([program] * size)
+        for r in range(size):
+            for s in range(size):
+                k = int(counts[s, r]) * rec.size
+                assert np.array_equal(recv[r][s].bytes[:k], send[s][r].bytes[:k])
 
 
 class TestAliasedBuffers:

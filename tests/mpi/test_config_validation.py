@@ -1,10 +1,12 @@
-"""MpiConfig / RetryPolicy constructor validation (fail fast, not deep
-inside a protocol coroutine with a cryptic ZeroDivisionError)."""
+"""MpiConfig / RetryPolicy / EngineOptions constructor validation (fail
+fast, not deep inside a protocol coroutine with a cryptic
+ZeroDivisionError)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.gpu_engine.engine import EngineOptions
 from repro.mpi.config import MpiConfig, RetryPolicy
 
 
@@ -66,3 +68,27 @@ def test_retry_policy_defaults_valid():
 def test_every_ladder_rung_accepted(name):
     assert MpiConfig(coll_algorithm=name).coll_algorithm == name
 
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # divided by zero inside a vector launch; the send then deadlocked
+        dict(grid_blocks=0),
+        # priced a vector kernel with a negative bandwidth
+        dict(grid_blocks=-4),
+        # silently replaced by the default 4 KB CUDA_DEV unit
+        dict(unit_size=0),
+        dict(unit_size=-1),
+    ],
+    ids=lambda kw: next(iter(kw.items()))[0] + "=" + str(next(iter(kw.values()))),
+)
+def test_bad_engine_options_rejected(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        EngineOptions(**kw)
+
+
+def test_engine_options_bounds_accepted():
+    assert EngineOptions().grid_blocks is None
+    opts = EngineOptions(grid_blocks=1, unit_size=1)
+    assert MpiConfig(engine=opts).engine.grid_blocks == 1

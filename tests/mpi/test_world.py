@@ -14,6 +14,7 @@ from repro.datatype.primitives import BYTE, DOUBLE
 from repro.hw.node import Cluster
 from repro.mpi.btl.base import Btl
 from repro.mpi.config import MpiConfig
+from repro.mpi.protocols.common import TransferState
 from repro.mpi.world import MpiWorld
 from repro.sim.core import Process
 from repro.workloads.matrices import lower_triangular_type, submatrix_type
@@ -363,58 +364,141 @@ class TestSteadyStateReuse:
         assert tracked[30] - tracked[10] < 64
 
     @pytest.mark.parametrize("case", [
-        "host-eager", "device-eager", "ipc_rdma", "copyinout",
+        "host-eager", "device-eager", "ipc_rdma", "copyinout", "host",
+        "bcast", "allgather", "alltoall", "alltoallv",
     ])
     def test_message_path_leaves_no_cyclic_garbage(self, case, rng):
         """Every per-message object dies by reference counting: a round
-        run with the collector off leaves no repro cycle for it."""
-        kind, n, protocol = {
-            "host-eager": ("cpu", 64, "eager"),
-            "device-eager": ("sm-2gpu", 64, "eager"),
-            "ipc_rdma": ("sm-2gpu", 16384, "ipc_rdma"),
-            "copyinout": ("ib", 16384, "copyinout"),
-        }[case]
-        world = make_world(kind)
-        # one contiguous and one strided message (the convertor or GPU
-        # engine path) per round
-        C = contiguous(n, DOUBLE).commit()
-        V = vector(n // 2, 1, 2, DOUBLE).commit()
-        b0 = alloc(world, 0, C.size)
-        b0.write(rng.random(n))
-        b1 = alloc(world, 1, C.size)
-        b2 = alloc(world, 1, C.size)
+        run with the collector off leaves no repro cycle for it.
 
-        def s(mpi):
-            yield mpi.wait_all(mpi.isend(b0, C, 1, dest=1, tag=1),
-                               mpi.isend(b0, V, 1, dest=1, tag=2))
+        ``Simulator.run`` pauses the collector on that promise.  The
+        cases cover every protocol and the collective rungs ``auto``
+        picks in the ``coll_mix`` benchmark.
+        """
+        build = _p2p_round if case in _P2P_CASES else _collective_round
+        world, programs, check = build(case, rng)
+        leaked = cyclic_garbage_of_a_round(world, programs)
+        check()
+        assert not leaked
 
-        def r(mpi):
-            yield mpi.wait_all(mpi.irecv(b1, C, 1, source=0, tag=1),
-                               mpi.irecv(b2, V, 1, source=0, tag=2))
 
-        world.run([s, r])  # warm-up: ranks, engines, IPC registrations
-        world.reset_stats()
-        gc.collect()
-        gc.disable()
-        try:
-            world.run([s, r])
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            gc.collect()
-            leaked = sorted({
-                type(o).__qualname__ if not isinstance(o, types.FunctionType)
-                else o.__qualname__
-                for o in gc.garbage
-                if isinstance(o, (Process, Convertor, Btl))
-                or (isinstance(o, types.FunctionType) and o.__closure__
-                    and (o.__module__ or "").startswith("repro"))
-            })
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
+#: point-to-point guard cases: env, doubles per message, protocol
+_P2P_CASES = {
+    "host-eager": ("cpu", 64, "eager"),
+    "device-eager": ("sm-2gpu", 64, "eager"),
+    "ipc_rdma": ("sm-2gpu", 16384, "ipc_rdma"),
+    "copyinout": ("ib", 16384, "copyinout"),
+    "host": ("cpu", 16384, "host"),
+}
+
+
+def _p2p_round(case, rng):
+    """One contiguous and one strided message (the convertor or GPU
+    engine path) over the case's protocol."""
+    kind, n, protocol = _P2P_CASES[case]
+    world = make_world(kind)
+    C = contiguous(n, DOUBLE).commit()
+    V = vector(n // 2, 1, 2, DOUBLE).commit()
+    b0 = alloc(world, 0, C.size)
+    b0.write(rng.random(n))
+    b1 = alloc(world, 1, C.size)
+    b2 = alloc(world, 1, C.size)
+
+    def s(mpi):
+        yield mpi.wait_all(mpi.isend(b0, C, 1, dest=1, tag=1),
+                           mpi.isend(b0, V, 1, dest=1, tag=2))
+
+    def r(mpi):
+        yield mpi.wait_all(mpi.irecv(b1, C, 1, source=0, tag=1),
+                           mpi.irecv(b2, V, 1, source=0, tag=2))
+
+    def check():
         assert world.stats().by_protocol.get(protocol) == 4
         assert np.array_equal(b1.bytes, b0.bytes)
-        assert not leaked
+
+    return world, [s, r], check
+
+
+def _collective_round(case, rng):
+    """One collective on a 2x2 device world, at the size and rung of
+    ``coll_mix``: binomial bcast, ring allgather and staged alltoall of
+    4 KB blocks, nonblocking alltoallv of ragged 64-byte records around
+    256 KB per peer."""
+    from repro.mpi.collectives import allgather, alltoall, alltoallv, bcast
+
+    size = 4
+    world = MpiWorld(Cluster(2, 2), [(nd, g) for nd in range(2) for g in range(2)])
+    rec = contiguous(64, BYTE).commit()
+    nb = (256 << 10) if case == "alltoallv" else (4 << 10)
+    blk = contiguous(nb, BYTE).commit()
+    counts = np.stack([
+        rng.permutation(np.linspace(nb // 128, 3 * nb // 128, size).astype(int))
+        for _r in range(size)
+    ])
+    cap = max(nb, int(counts.max()) * 64)
+    send = [[alloc(world, r, cap) for _d in range(size)] for r in range(size)]
+    recv = [[alloc(world, r, cap) for _s in range(size)] for r in range(size)]
+    for row in send:
+        for b in row:
+            b.write(rng.integers(0, 256, cap, dtype=np.uint8))
+
+    def program(mpi):
+        r = mpi.rank
+        if case == "bcast":
+            yield from bcast(mpi, send[1][0] if r == 1 else recv[r][0], blk, 1, root=1)
+        elif case == "allgather":
+            yield from allgather(mpi, send[r][0], blk, 1, recv[r], blk, 1)
+        elif case == "alltoall":
+            yield from alltoall(mpi, send[r], blk, 1, recv[r], blk, 1)
+        else:
+            yield from alltoallv(mpi, send[r], rec, counts[r].tolist(),
+                                 recv[r], rec, counts[:, r].tolist())
+
+    def check():
+        rung = {"bcast": "pairwise", "allgather": "pairwise",
+                "alltoall": "staged", "alltoallv": "nonblocking"}[case]
+        assert world.stats().coll_ops.get(f"{case}.{rung}") == size
+        for r in range(size):
+            for s in range(size):
+                if case == "bcast":  # recv[r][0] holds the root's block
+                    src, dst, k = send[1][0], recv[r][0], nb
+                    if r == 1:
+                        continue
+                elif case == "allgather":
+                    src, dst, k = send[s][0], recv[r][s], nb
+                else:
+                    k = nb if case == "alltoall" else int(counts[s, r]) * 64
+                    src, dst = send[s][r], recv[r][s]
+                assert np.array_equal(dst.bytes[:k], src.bytes[:k]), (r, s)
+
+    return world, [program] * size, check
+
+
+def cyclic_garbage_of_a_round(world, programs) -> list[str]:
+    """Run a warm-up round, then one round with the collector off; the
+    repro objects that round left for ``gc.collect()`` as cycles: every
+    ``Process``, ``Convertor``, ``Btl``, ``TransferState`` and closure
+    defined in ``repro``, by name."""
+    world.run(programs)  # warm-up: ranks, engines, IPC registrations
+    world.reset_stats()
+    gc.collect()
+    gc.disable()
+    try:
+        world.run(programs)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return sorted({
+            type(o).__qualname__ if not isinstance(o, types.FunctionType)
+            else o.__qualname__
+            for o in gc.garbage
+            if isinstance(o, (Process, Convertor, Btl, TransferState))
+            or (isinstance(o, types.FunctionType) and o.__closure__
+                and (o.__module__ or "").startswith("repro"))
+        })
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 class TestWorldScaleObservability:
@@ -505,6 +589,29 @@ class TestWorldScaleObservability:
         assert "gc collections by generation" in events[0]
         world.reset_stats()
         assert world.stats().gc_collections == (0,) * gens
+
+    def test_collector_paused_from_the_first_spawn(self):
+        """``world.run`` pauses automatic collection across its spawns
+        and its loop: a 512-rank world's spawns alone would otherwise
+        start young collections inside the window."""
+        n = 512
+        world = MpiWorld(Cluster(1, 0), [(0, None)] * n)
+
+        def program(mpi):
+            yield None
+
+        gc.collect()
+        world.run([program] * n)
+        assert world.stats().gc_collections == (0,) * len(gc.get_stats())
+        assert gc.isenabled()
+
+        def failing(mpi):
+            raise RuntimeError("program failed")
+            yield  # pragma: no cover - makes this a generator
+
+        with pytest.raises(RuntimeError, match="program failed"):
+            world.run([failing] * 2)
+        assert gc.isenabled()
 
     def test_world_builds_lazily(self):
         world = make_world("cpu")

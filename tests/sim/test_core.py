@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.sim.core import (
@@ -245,3 +247,50 @@ class TestDeterminism:
             return log
 
         assert run_once() == run_once()
+
+
+class TestCollectorPause:
+    """``Simulator.run`` pauses automatic garbage collection and leaves
+    the collector as it found it."""
+
+    def test_paused_inside_the_loop_and_enabled_after(self, sim):
+        seen = []
+        sim.call_soon(lambda: seen.append(gc.isenabled()))
+        assert gc.isenabled()
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_left_disabled_when_found_disabled(self, sim):
+        sim.call_soon(lambda: None)
+        gc.disable()
+        try:
+            sim.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_enabled_after_a_run_that_raises(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_soon(boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_nested_run_keeps_the_outer_pause(self, sim):
+        inner = Simulator()
+        seen = []
+        inner.call_soon(lambda: None)
+        sim.call_soon(lambda: (inner.run(), seen.append(gc.isenabled())))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_explicit_collection_still_runs(self, sim):
+        before = gc.get_stats()[2]["collections"]
+        sim.call_soon(gc.collect)
+        sim.run()
+        assert gc.get_stats()[2]["collections"] == before + 1
+
