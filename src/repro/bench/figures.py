@@ -61,6 +61,7 @@ def fig6(sizes=(512, 1024, 2048, 4096)) -> Series:
         t0 = sim.now
         sim.run_until_complete(env.gpu0.memcpy_d2d(b, a))
         out["C-cudaMemcpy"] = n * n * 8 / (sim.now - t0)
+        env.world.close()
         series.add(n, **out)
     return series
 
@@ -78,6 +79,7 @@ def fig9(sizes=(512, 1024, 2048)) -> Series:
             env = make_env("sm-2gpu")
             b0, b1 = matrix_buffers(env, wl)
             t = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+            env.world.close()
             row[name] = 2 * wl.payload_bytes / t
         series.add(n, **row)
     return series
@@ -103,11 +105,13 @@ def fig10(sizes=(512, 1024, 2048)) -> list[Series]:
                 row[name] = pingpong(
                     env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2
                 )
+                env.world.close()
                 env2 = make_env(kind)
                 c0, c1 = matrix_buffers(env2, wl)
                 row[f"{name}-MVAPICH"] = mvapich_pingpong(
                     env2, c0, wl.datatype, 1, c1, wl.datatype, 1, iters=1
                 )
+                env2.world.close()
             series.add(n, **row)
         out.append(series)
     return out
@@ -124,6 +128,7 @@ def sec53(grids=(1, 2, 4, 8, 16, 32, 64, 120), n=2048) -> Series:
         wl = MatrixWorkload.submatrix(n, n + 512)
         b0, b1 = matrix_buffers(env, wl)
         series.add(g, time=pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, 2))
+        env.world.close()
     return series
 
 
@@ -142,6 +147,7 @@ def sec54(levels=(0.0, 0.25, 0.5, 0.75, 0.9, 0.97), n=2048) -> Series:
             f"{int(lvl * 100)}%",
             time=pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, 2),
         )
+        env.world.close()
     return series
 
 
@@ -188,6 +194,7 @@ def fig7(sizes=(1024, 2048, 4096)) -> Series:
                 "T-d2d-cached": roundtrip(T, srcT, cached, warm=True),
             },
         )
+        env.world.close()
     return series
 
 
@@ -216,6 +223,8 @@ def fig12(sizes=(256, 512, 1024)) -> Series:
         c0 = env2.world.procs[0].ctx.malloc(n * n * 8)
         c1 = env2.world.procs[1].ctx.malloc(n * n * 8)
         theirs = mvapich_pingpong(env2, c0, C, 1, c1, TR, 1, iters=1)
+        env.world.close()
+        env2.world.close()
         series.add(n, transpose=ours, **{"transpose-MVAPICH": theirs})
     return series
 
@@ -262,6 +271,7 @@ def energy(n: int = 1024) -> Series:
         cluster.tracer.clear()
         elapsed = world.run([s, r])
         rep = energy_report(cluster.tracer)
+        world.close()
         series.add(
             label,
             millijoules=rep.total_joules * 1e3,
@@ -273,7 +283,7 @@ def energy(n: int = 1024) -> Series:
 def fig8(block_sizes=(64, 96, 192, 512, 4096), n_blocks=8192) -> Series:
     """Vector kernel vs cudaMemcpy2D (the 64 B alignment sawtooth)."""
     from repro.cuda.runtime import CudaContext, MemcpyKind
-    from repro.cuda.uma import map_host_buffer
+    from repro.cuda.uma import map_host_buffer, unmap_host_buffer
     from repro.datatype.ddt import hvector
     from repro.datatype.primitives import BYTE
 
@@ -318,6 +328,8 @@ def fig8(block_sizes=(64, 96, 192, 512, 4096), n_blocks=8192) -> Series:
                 ctx.memcpy2d(hdst, bs, src, stride, bs, n_blocks, MemcpyKind.D2H)
             ),
         }
+        unmap_host_buffer(hdst)
+        env.world.close()
         series.add(bs, **row)
     return series
 
@@ -341,6 +353,8 @@ def fig11(sizes=(512, 1024, 2048)) -> Series:
         env2 = make_env("sm-2gpu")
         c0, c1 = matrix_buffers(env2, wl)
         theirs = mvapich_pingpong(env2, c0, wl.datatype, 1, c1, C, 1, iters=1)
+        env.world.close()
+        env2.world.close()
         series.add(n, **{"V<->C": ours, "V<->C-MVAPICH": theirs})
     return series
 

@@ -300,6 +300,7 @@ def alltoall_times(
             return run
 
         world.run({r: program(r) for r in range(size)})
+        world.close()
         out[getattr(algo, "value", str(algo))] = (
             (marks[-1] - marks[0]) / iters
         )

@@ -32,7 +32,7 @@ from repro.bench.harness import (
 from repro.bench.profiles import Profile
 from repro.bench.reporting import Series
 from repro.cuda.runtime import CudaContext, MemcpyKind
-from repro.cuda.uma import map_host_buffer
+from repro.cuda.uma import map_host_buffer, unmap_host_buffer
 from repro.datatype.ddt import contiguous, hvector
 from repro.datatype.primitives import BYTE, DOUBLE
 from repro.gpu_engine import EngineOptions
@@ -111,6 +111,7 @@ def kernel_bandwidths(n: int) -> dict[str, float]:
     t0 = sim.now
     sim.run_until_complete(gpu.memcpy_d2d(b, a))
     out["C-cudaMemcpy"] = nbytes / (sim.now - t0)
+    env.world.close()
     return out
 
 
@@ -185,6 +186,8 @@ def engine_times(n: int) -> dict[str, float]:
     out["T-cpy-cached"] = _roundtrip(
         env, T, srcT, cached, PIPE_FRAG, zbuf, warm_cache=True
     )
+    unmap_host_buffer(zbuf)
+    env.world.close()
     return out
 
 
@@ -250,6 +253,8 @@ def memcpy2d_sweep(
                 "mcp2d-d2d2h": mcp_d2d2h,
             },
         )
+        unmap_host_buffer(hdst)
+        env.world.close()
     return series
 
 
@@ -264,6 +269,7 @@ def pcie_bandwidths(n: int) -> dict[str, float]:
         env = make_env("sm-2gpu")
         b0, b1 = matrix_buffers(env, wl)
         t = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+        env.world.close()
         # ping-pong moves the payload twice per iteration
         out[name] = 2 * wl.payload_bytes / t
     return out
@@ -279,11 +285,13 @@ def pingpong_times(env_kind: str, n: int) -> dict[str, float]:
         env = make_env(env_kind)
         b0, b1 = matrix_buffers(env, wl)
         out[name] = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+        env.world.close()
         env2 = make_env(env_kind)
         c0, c1 = matrix_buffers(env2, wl)
         out[f"{name}-MVAPICH"] = mvapich_pingpong(
             env2, c0, wl.datatype, 1, c1, wl.datatype, 1, iters=1
         )
+        env2.world.close()
     return out
 
 
@@ -296,9 +304,11 @@ def vc_times(env_kind: str, n: int) -> dict[str, float]:
     b0, b1 = matrix_buffers(env, wl)
     # rank 0: vector; rank 1: contiguous (only n*n*8 bytes are used)
     out["V<->C"] = pingpong(env, b0, wl.datatype, 1, b1, C, 1, iters=2)
+    env.world.close()
     env2 = make_env(env_kind)
     c0, c1 = matrix_buffers(env2, wl)
     out["V<->C-MVAPICH"] = mvapich_pingpong(env2, c0, wl.datatype, 1, c1, C, 1, iters=1)
+    env2.world.close()
     return out
 
 
@@ -322,6 +332,7 @@ def transpose_times(env_kind: str, n: int) -> dict[str, float]:
     a = b0.view("f8").reshape(n, n)
     b = b1.view("f8").reshape(n, n)
     assert np.array_equal(b, a.T), "transpose semantics broken"
+    env.world.close()
 
     env2 = make_env(env_kind)
     q0, q1 = env2.world.procs
@@ -332,6 +343,7 @@ def transpose_times(env_kind: str, n: int) -> dict[str, float]:
     a = c0.view("f8").reshape(n, n)
     b = c1.view("f8").reshape(n, n)
     assert np.array_equal(b, a.T), "MVAPICH transpose semantics broken"
+    env2.world.close()
     return out
 
 
@@ -341,7 +353,9 @@ def pingpong_with_grid(grid_blocks: int, n: int = 2048) -> float:
     env = make_env("sm-2gpu", config=cfg)
     wl = MatrixWorkload.submatrix(n, n + 512)
     b0, b1 = matrix_buffers(env, wl)
-    return pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+    t = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+    env.world.close()
+    return t
 
 
 def saturation_grid(grids: list[int]) -> int:
@@ -362,7 +376,9 @@ def pingpong_under_contention(level: float, n: int = 2048) -> float:
         gpu.contention = level
     wl = MatrixWorkload.submatrix(n, n + 512)
     b0, b1 = matrix_buffers(env, wl)
-    return pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+    t = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+    env.world.close()
+    return t
 
 
 def pipeline_pingpong(
@@ -380,7 +396,9 @@ def pipeline_pingpong(
             gpu.contention = contention
     wl = MatrixWorkload.submatrix(n, n + 512)
     b0, b1 = matrix_buffers(env, wl)
-    return pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+    t = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
+    env.world.close()
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +562,7 @@ def _world_stats(profile: Profile) -> dict[str, float]:
     per_iter, ws = pingpong_stats(
         env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2
     )
+    env.world.close()
     return {
         "T_pingpong_s": per_iter,
         "cache_hit_rate": ws.cache_hit_rate,
@@ -604,6 +623,7 @@ def _cache_reuse(profile: Profile) -> dict[str, float]:
         )
     )
     c2 = world.stats().cache
+    env.world.close()
     assert c2.misses == 0 and c2.hits > 0, (
         f"tenant 2 should reuse tenant 1's descriptors "
         f"(hits={c2.hits}, misses={c2.misses})"

@@ -69,6 +69,7 @@ def world_scale_metrics(
 
     world.run({r: prog for r in range(ranks)})
     ws = world.stats()
+    world.close()
     transfers = float(sum(ws.by_protocol.values()))
     wall = ws.run_wall_s
     return {

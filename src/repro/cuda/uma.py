@@ -45,6 +45,8 @@ def unmap_host_buffer(buf: Buffer) -> None:
     for i, (lo, hi, _gpu) in enumerate(regions):
         if (lo, hi) == target:
             del regions[i]
+            if not regions:
+                del _REGIONS[buf.allocation.alloc_id]
             return
     raise ValueError(f"{buf!r} was not zero-copy mapped")
 

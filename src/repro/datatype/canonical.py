@@ -312,17 +312,27 @@ class StreamPlan:
         )
 
 
+#: stream plans one datatype keeps; cleared when full.  A steady workload
+#: sends a handful of counts per type, but counts redrawn on every call
+#: (an alltoallv's) would otherwise keep a plan, gather map included, per
+#: count for as long as the type lives.
+_PLANS_MAX = 64
+
+
 def stream_plan(dt: Datatype, count: int = 1) -> StreamPlan:
     """The compiled stream plan of ``count`` elements of ``dt``.
 
-    Cached per ``count`` on the datatype object, for as long as the
-    object lives: the first call walks the tiled spans, every later call
-    is a dict lookup.
+    Cached per ``count`` on the datatype object (at most
+    :data:`_PLANS_MAX` counts): the first call walks the tiled spans,
+    every later call is a dict lookup.
     """
-    plan = dt._plans.get(count)
+    plans = dt._plans
+    plan = plans.get(count)
     if plan is None:
         dt.commit()
-        plan = dt._plans[count] = StreamPlan(dt, count)
+        if len(plans) >= _PLANS_MAX:
+            plans.clear()
+        plan = plans[count] = StreamPlan(dt, count)
     return plan
 
 

@@ -13,7 +13,6 @@ consumes when one exists.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,17 +158,21 @@ class Datatype:
 
     # -- misc -----------------------------------------------------------------
     def granularity(self) -> int:
-        """Largest power-of-two byte unit dividing every span disp/len.
+        """Largest power-of-two byte unit (at most 16) dividing every span
+        disp/len.
 
         The stream plan's unit starts from this granularity; 8 for
-        double-based types, smaller for packed char structs.
+        double-based types, smaller for packed char structs.  A power of
+        two divides every value exactly when it divides the lowest set
+        bit of their bitwise OR (two's complement keeps that true for
+        negative displacements), so one OR-reduction replaces a gcd per
+        span.
         """
         s = self.spans
         if s.count == 0:
             return 1
-        g = int(np.gcd.reduce(np.concatenate([s.disps, s.lens])))
-        g = math.gcd(g, 16) if g else 16
-        return max(1, g)
+        bits = int(np.bitwise_or.reduce(s.disps) | np.bitwise_or.reduce(s.lens))
+        return min(16, bits & -bits) if bits else 16
 
     def signature_primitive_count(self) -> int:
         """Total number of primitive elements in the signature."""

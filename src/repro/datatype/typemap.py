@@ -103,12 +103,8 @@ def coalesce(spans: Spans) -> Spans:
     breaks[1:] = d[1:] != d[:-1] + l[:-1]
     if breaks.all():
         return spans
-    group = np.cumsum(breaks) - 1
-    n_groups = int(group[-1]) + 1
-    out_d = d[breaks]
-    out_l = np.zeros(n_groups, dtype=np.int64)
-    np.add.at(out_l, group, l)
-    return Spans(out_d, out_l)
+    starts = np.flatnonzero(breaks)
+    return Spans(d[starts], np.add.reduceat(l, starts))
 
 
 def concat(parts: Iterable[Spans]) -> Spans:
@@ -128,7 +124,11 @@ def tile(spans: Spans, count: int, stride_bytes: int) -> Spans:
     """Repeat a span list ``count`` times, offsetting each copy by the stride.
 
     This is the workhorse for ``contiguous``/``vector``/send-count
-    replication: one broadcasted add instead of a Python loop.
+    replication: one broadcasted add instead of a Python loop.  A single
+    gap-free span tiled at its own length is one longer span, built in
+    closed form: committing ``contiguous(n, BYTE)`` costs the same for
+    every ``n``, where the broadcast would build ``n`` spans only for
+    :func:`coalesce` to merge them again.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -136,6 +136,8 @@ def tile(spans: Spans, count: int, stride_bytes: int) -> Spans:
         return Spans.empty()
     if count == 1:
         return spans
+    if spans.count == 1 and int(spans.lens[0]) == stride_bytes > 0:
+        return Spans(spans.disps, spans.lens * np.int64(count))
     offsets = (np.arange(count, dtype=np.int64) * np.int64(stride_bytes))[:, None]
     disps = (spans.disps[None, :] + offsets).reshape(-1)
     lens = np.broadcast_to(spans.lens, (count, spans.count)).reshape(-1)

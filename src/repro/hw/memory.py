@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import mmap
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,6 +52,14 @@ class OutOfMemory(MemoryError):
 
 _alloc_ids = itertools.count()
 
+#: NumPy advises transparent huge pages for arrays of this size and more.
+#: A sparse allocation this large is mapped directly, without that
+#: advice: a staging ring of ``depth`` x 1 MiB slots that a small message
+#: only partly uses would otherwise be resident in whole 2 MiB pages, as
+#: many as the mapping's chance alignment allows, and peak memory would
+#: follow address-space layout rather than the bytes touched.
+_HUGE_PAGE_ADVICE = 1 << 22
+
 
 class Allocation:
     """One materialized block inside a :class:`Memory`."""
@@ -71,6 +80,7 @@ class Allocation:
         nbytes: int,
         label: str = "",
         requested_nbytes: Optional[int] = None,
+        sparse: bool = False,
     ) -> None:
         self.memory = memory
         self.alloc_id = next(_alloc_ids)
@@ -80,7 +90,12 @@ class Allocation:
         #: the caller-requested (pre-rounding) size; bytes beyond it are
         #: the alignment redzone
         self.requested_nbytes = nbytes if requested_nbytes is None else requested_nbytes
-        self.data = np.zeros(nbytes, dtype=np.uint8)
+        #: zero bytes, resident once touched
+        self.data = (
+            np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+            if sparse and nbytes >= _HUGE_PAGE_ADVICE
+            else np.zeros(nbytes, dtype=np.uint8)
+        )
         self.freed = False
         self.label = label
 
@@ -111,8 +126,12 @@ class Memory:
         self.peak_bytes_in_use = 0
         self.live_allocations = 0
 
-    def alloc(self, nbytes: int, label: str = "") -> "Buffer":
-        """Allocate ``nbytes`` (rounded up to the arena alignment)."""
+    def alloc(self, nbytes: int, label: str = "", sparse: bool = False) -> "Buffer":
+        """Allocate ``nbytes`` (rounded up to the arena alignment).
+
+        ``sparse`` marks a buffer its user may touch only in part, as a
+        pooled staging ring sized for the largest transfer is.
+        """
         if nbytes <= 0:
             raise ValueError(f"memory {self.name!r}: allocation must be positive")
         rounded = -(-nbytes // self.ALIGNMENT) * self.ALIGNMENT
@@ -124,7 +143,9 @@ class Memory:
         self.bytes_in_use += rounded
         self.peak_bytes_in_use = max(self.peak_bytes_in_use, self.bytes_in_use)
         self.live_allocations += 1
-        allocation = Allocation(self, rounded, label=label, requested_nbytes=nbytes)
+        allocation = Allocation(
+            self, rounded, label=label, requested_nbytes=nbytes, sparse=sparse
+        )
         if _san.MEM is not None:
             _san.MEM.on_alloc(allocation)
         return Buffer(allocation, 0, nbytes, label=label)

@@ -127,6 +127,10 @@ def _op_tag(op: str, seq: int, phase: int = 0) -> int:
 
 #: packed wire type per (datatype signature, count)
 _PACKED_CACHE: dict[tuple, Datatype] = {}
+#: packed wire types kept process-wide; cleared when full (a steady
+#: workload draws a handful of (signature, count) pairs, an alltoallv
+#: with counts redrawn per call a new one almost every call)
+_PACKED_MAX = 256
 
 
 def _packed_type(sig: tuple, count: int = 1) -> Datatype:
@@ -142,6 +146,8 @@ def _packed_type(sig: tuple, count: int = 1) -> Datatype:
     cached = _PACKED_CACHE.get(key)
     if cached is not None:
         return cached
+    if len(_PACKED_CACHE) >= _PACKED_MAX:
+        _PACKED_CACHE.clear()
     sig = _times(sig, count)
     if not sig:
         dtp = contiguous(0, BYTE)

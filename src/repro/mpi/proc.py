@@ -129,8 +129,8 @@ class MpiProcess:
         if kind == "device":
             if self.gpu is None:
                 raise RuntimeError(f"rank {self.rank} has no GPU for staging")
-            return self.gpu.memory.alloc(nbytes, label="staging")
-        buf = self.node.host_memory.alloc(nbytes, label="staging")
+            return self.gpu.memory.alloc(nbytes, label="staging", sparse=True)
+        buf = self.node.host_memory.alloc(nbytes, label="staging", sparse=True)
         if zero_copy_map:
             if self.gpu is None:
                 raise RuntimeError("zero-copy staging needs a GPU")
@@ -165,6 +165,28 @@ class MpiProcess:
                 unmap_host_buffer(old)
             old.free()
         self.staging_idle_bytes[kind] = idle
+
+    def close(self) -> None:
+        """Free what this rank holds and break its cycles.
+
+        Pooled staging is freed (zero-copy rings unmapped first), the
+        engine's DevCache gives back its device memory, and the IPC
+        registrations, transfer log and Active Message handlers are
+        dropped: the ``pml.rts`` handler closes over this process.
+        """
+        for (_kind, _nbytes, mapped), pool in self._staging_pool.items():
+            for buf, _snap in pool:
+                if mapped:
+                    unmap_host_buffer(buf)
+                buf.free()
+        self._staging_pool.clear()
+        self._staging_lru.clear()
+        self.staging_idle_bytes.clear()
+        if self._engine is not None:
+            self._engine.cache.clear()
+        self.ipc_cache.clear()
+        self.transfer_log.clear()
+        self._handlers.clear()
 
     @property
     def engine(self) -> GpuDatatypeEngine:

@@ -259,6 +259,18 @@ class MpiWorld:
 
         return audit_world(self, _san.VERIFY)
 
+    def close(self) -> None:
+        """Close every built rank (:meth:`MpiProcess.close`) and drop them.
+
+        A world and its processes reference each other, so a dropped
+        world would otherwise keep its staging pools, DevCache memory
+        and transfer logs until a full collection.  A closed world has no
+        ranks and cannot run; closing twice is harmless.
+        """
+        for proc in self.procs.materialized():
+            proc.close()
+        self.procs._slots.clear()
+
     def _comm_freed(self, comm_id: int) -> None:
         """Record a freed context id (the pin audit checks against it)."""
         self._freed_comms.add(comm_id)

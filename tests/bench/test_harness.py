@@ -87,3 +87,16 @@ class TestDrivers:
         dst = proc.ctx.malloc(wl.payload_bytes)
         t = pack_time(env, wl.datatype, 1, src, dst, warmup=1)
         assert t > 0
+
+
+class TestSweepsReleaseCells:
+    def test_zero_copy_sweeps_leave_no_mapping_behind(self):
+        """A cell's zero-copy mapping names its GPU in the process-wide
+        registry, so one left mapped keeps the cell's cluster alive."""
+        from repro.bench.scenarios import engine_times, memcpy2d_sweep
+        from repro.cuda import uma
+
+        before = dict(uma._REGIONS)
+        memcpy2d_sweep(64, [96, 192])
+        engine_times(64)
+        assert uma._REGIONS == before

@@ -338,21 +338,6 @@ class TestDevCacheReuse:
         assert cache.hits == 1 and cache.misses == 0
 
 
-class _CountingGcd:
-    """Stands in for ``np.gcd``, counting ``reduce`` calls."""
-
-    def __init__(self, calls: dict) -> None:
-        self._gcd = np.gcd
-        self._calls = calls
-
-    def __call__(self, *args, **kwargs):
-        return self._gcd(*args, **kwargs)
-
-    def reduce(self, *args, **kwargs):
-        self._calls["np.gcd.reduce"] += 1
-        return self._gcd.reduce(*args, **kwargs)
-
-
 class TestStreamPlanCache:
     """After one message on a (datatype, count), binding the same pair to a
     buffer again re-derives nothing from the span list."""
@@ -393,7 +378,7 @@ class TestStreamPlanCache:
 
         message()  # warm-up: compiles the plan, fills the DevCache
         calls = dict.fromkeys(
-            ["tile", "coalesce", "spans_for_count", "np.gcd.reduce"], 0
+            ["tile", "coalesce", "spans_for_count", "granularity"], 0
         )
 
         def counting(name, fn):
@@ -406,12 +391,10 @@ class TestStreamPlanCache:
         for mod in (typemap, ddt):
             monkeypatch.setattr(mod, "tile", counting("tile", mod.tile))
             monkeypatch.setattr(mod, "coalesce", counting("coalesce", mod.coalesce))
-        monkeypatch.setattr(
-            ddt.Datatype,
-            "spans_for_count",
-            counting("spans_for_count", ddt.Datatype.spans_for_count),
-        )
-        monkeypatch.setattr(np, "gcd", _CountingGcd(calls))
+        for name in ("spans_for_count", "granularity"):
+            monkeypatch.setattr(
+                ddt.Datatype, name, counting(name, getattr(ddt.Datatype, name))
+            )
         message()
         assert calls == dict.fromkeys(calls, 0)
         assert proc.engine.cache.hits == 1

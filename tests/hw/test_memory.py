@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,40 @@ class TestAllocation:
         host = Memory("h", 1024, MemoryKind.HOST)
         assert dev.alloc(16).is_device and not dev.alloc(16).is_host
         assert host.alloc(16).is_host and not host.alloc(16).is_device
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+needs_statm = pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+)
+
+
+class TestSparseAllocations:
+    """A sparse buffer of 4 MiB or more is mapped without NumPy's
+    huge-page advice, so it is resident by the pages touched, not in
+    whole 2 MiB pages."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("nbytes", [(4 << 20) - 256, 4 << 20, 5 << 20])
+    def test_zeroed_writable_bytes(self, nbytes, sparse):
+        buf = Memory("big", 64 << 20, MemoryKind.HOST).alloc(nbytes, sparse=sparse)
+        data = buf.bytes
+        assert (data.dtype, data.size, data.any()) == (np.uint8, nbytes, False)
+        buf[nbytes - 8 :].fill(7)
+        assert buf.bytes[-8:].tolist() == [7] * 8
+
+    @needs_statm
+    def test_resident_memory_follows_touched_pages(self):
+        buf = Memory("big", 128 << 20, MemoryKind.DEVICE).alloc(64 << 20, sparse=True)
+        before = _resident_bytes()
+        # one byte in each 2 MiB stretch, written to the storage itself
+        # (.bytes would also mark sanitizer shadow)
+        buf.allocation.data[:: 2 << 20] = 1
+        assert _resident_bytes() - before < 16 << 20
 
 
 class TestBuffer:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datatype import canonical
 from repro.datatype.convertor import pack_bytes
 from repro.datatype.ddt import contiguous
 from repro import sanitize
+from repro.mpi import collectives
 from repro.datatype.primitives import BYTE, DOUBLE
 from repro.faults.plan import FaultSpec
 from repro.hw.node import Cluster
@@ -541,3 +543,60 @@ class TestAliasedBuffers:
         for r in range(self.SIZE):
             for s in range(self.SIZE):
                 assert (got[r][s] == float(10 * s)).all(), (r, s)
+
+
+class TestLayoutMemosBounded:
+    """An alltoallv whose counts are redrawn on every call asks for a new
+    packed wire type and a new stream plan almost every call; both memos
+    stay under their bounds, and clearing them changes no byte."""
+
+    @pytest.mark.parametrize("algo", ["staged", "nonblocking"])
+    def test_alltoallv_redrawn_counts(self, algo, monkeypatch):
+        monkeypatch.setattr(collectives, "_PACKED_CACHE", {})
+        monkeypatch.setattr(collectives, "_PACKED_MAX", 8)
+        monkeypatch.setattr(canonical, "_PLANS_MAX", 8)
+        size, elems, calls, most = 4, 16, 6, 12
+        world = two_node_world()
+        dt = contiguous(elems, DOUBLE).commit()
+        # counts[call][src][dst], 13 distinct values against bounds of 8
+        counts = np.random.default_rng(21).integers(0, most + 1, (calls, size, size))
+        assert len(np.unique(counts)) > 8
+        sendbufs = [
+            [world.procs[r].ctx.malloc(most * dt.size) for _ in range(size)]
+            for r in range(size)
+        ]
+        for r in range(size):
+            for d in range(size):
+                sendbufs[r][d].write(
+                    np.arange(most * elems, dtype="f8") + 1000 * r + 100 * d
+                )
+        recvbufs = [
+            [world.procs[r].ctx.malloc(most * dt.size) for _ in range(size)]
+            for r in range(size)
+        ]
+        peaks = {"packed": 0, "plans": 0}
+
+        def program(rank):
+            def run(mpi):
+                for c in range(calls):
+                    yield from alltoallv(
+                        mpi, sendbufs[rank], dt, counts[c][rank].tolist(),
+                        recvbufs[rank], dt, counts[c][:, rank].tolist(),
+                        algorithm=algo,
+                    )
+                    for s in range(size):
+                        n = int(counts[c][s][rank]) * elems
+                        got = recvbufs[rank][s].view("f8")[:n]
+                        want = sendbufs[s][rank].view("f8")[:n]
+                        assert np.array_equal(got, want), (algo, c, rank, s)
+                    peaks["packed"] = max(peaks["packed"],
+                                          len(collectives._PACKED_CACHE))
+                    peaks["plans"] = max(peaks["plans"], len(dt._plans))
+                    yield mpi.barrier()
+            return run
+
+        world.run({r: program(r) for r in range(size)})
+        assert 0 < peaks["plans"] <= 8
+        assert peaks["packed"] <= 8
+        if algo == "staged":
+            assert peaks["packed"] > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ class TestStagingPool:
         assert is_mapped_host(buf)
         plain = p0.acquire_staging("host", 4096, zero_copy_map=False)
         assert not is_mapped_host(plain)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+    )
+    @pytest.mark.parametrize("kind", ["host", "device"])
+    def test_ring_resident_by_touched_pages(self, kind):
+        # a ring sized for the largest transfer, one byte used per 2 MiB
+        c, p0, _ = procs("sm-gpu")
+        ring = p0.acquire_staging(kind, 64 << 20)
+
+        def resident():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = resident()
+        # the storage itself: .bytes would also mark sanitizer shadow
+        ring.allocation.data[:: 2 << 20] = 1
+        assert resident() - before < 16 << 20
 
     def test_host_rank_cannot_get_device_staging(self):
         c, p0, _ = procs("cpu")

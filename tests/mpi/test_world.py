@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.cuda.uma import is_mapped_host
 from repro.datatype.convertor import Convertor, pack_bytes
 from repro.datatype.ddt import contiguous, vector
 from repro.datatype.primitives import BYTE, DOUBLE
@@ -621,3 +623,53 @@ class TestWorldScaleObservability:
         assert sum(1 for _ in world.procs.materialized()) == 1
         assert [p.rank for p in world.procs] == [0, 1]  # full iteration
         assert world.procs[-1].rank == 1
+
+
+class TestWorldClose:
+    """``MpiWorld.close`` frees what a world holds outside itself, so a
+    sweep's dropped world goes by reference counting, not at the next
+    full collection."""
+
+    def test_close_frees_pools_caches_and_registrations(self, rng):
+        world = make_world("sm-2gpu")
+        C = contiguous(4096, BYTE).commit()  # device eager: zero-copy bounce
+        T = lower_triangular_type(128)  # ipc_rdma: device ring, DevCache, IPC
+        user = {r: [alloc(world, r, C.size), alloc(world, r, 128 * 128 * 8)]
+                for r in (0, 1)}
+        user[0][0].write(rng.integers(0, 255, C.size, dtype=np.uint8))
+        user[0][1].write(rng.random(128 * 128))
+        one_way(world, user[0][0], C, 1, user[1][0], C, 1)
+        one_way(world, user[0][1], T, 1, user[1][1], T, 1)
+        procs = list(world.procs)
+        assert procs[1].ipc_cache
+        assert all(p.engine.cache.bytes_cached for p in procs)
+        (ring,) = [pool[0][0] for (_kind, _n, mapped), pool
+                   in procs[0]._staging_pool.items() if mapped and pool]
+        assert is_mapped_host(ring)
+
+        world.close()
+        assert not is_mapped_host(ring) and ring.allocation.freed
+        for p in procs:
+            assert not (p._staging_pool or p.ipc_cache or p.transfer_log)
+            assert p.engine.cache.bytes_cached == 0
+            # only the user's own buffers remain on the GPU
+            assert p.gpu.memory.bytes_in_use == sum(b.nbytes for b in user[p.rank])
+        assert world.size == 0 and not list(world.procs.materialized())
+
+    def test_closed_dropped_world_frees_its_ring_without_the_collector(self):
+        world = make_world("sm-2gpu")
+        C = contiguous(4096, BYTE).commit()
+        b0, b1 = alloc(world, 0, C.size), alloc(world, 1, C.size)
+        one_way(world, b0, C, 1, b1, C, 1)
+        (pool,) = [pool for (_kind, _n, mapped), pool
+                   in world.procs[0]._staging_pool.items() if mapped]
+        ring = weakref.ref(pool[0][0].allocation.data)
+        del pool
+        gc.collect()
+        gc.disable()
+        try:
+            world.close()
+            del world
+            assert ring() is None
+        finally:
+            gc.enable()

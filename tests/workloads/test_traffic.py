@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.mpi.config import MpiConfig
@@ -51,6 +53,24 @@ class TestDraws:
         a = TrafficDraws.generate(SMALL)
         b = TrafficDraws.generate(TrafficSpec(rounds=2, tenants=2, seed=8))
         assert (a.shifts, a.sizes, a.gaps) != (b.shifts, b.sizes, b.gaps)
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            (TrafficSpec(), "4c10f274d392fe085c2ed628eabbb581"),
+            # the benchmark's tenant_mix table
+            (TrafficSpec(tenants=4, rounds=300),
+             "5f9faf75d3af731fa69347afc43082c8"),
+        ],
+        ids=["default", "tenants4_rounds300"],
+    )
+    def test_table_is_pinned(self, spec, want):
+        """Any change to the generator's RNG stream changes every
+        workload and explorer digest built on it: it must fail here."""
+        d = TrafficDraws.generate(spec)
+        table = (d.shifts, d.kinds, d.sizes, d.vcounts, d.gaps)
+        got = hashlib.blake2b(repr(table).encode(), digest_size=16).hexdigest()
+        assert got == want
 
     def test_shapes(self):
         d = TrafficDraws.generate(SMALL)
