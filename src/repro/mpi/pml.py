@@ -32,7 +32,7 @@ from repro.mpi.bml import btl_for
 from repro.mpi.matching import PostedRecv
 from repro.mpi.message import Envelope
 from repro.mpi.requests import Status
-from repro.mpi.protocols import RECEIVERS, SENDERS, choose_protocol
+from repro.mpi.protocols import choose_protocol, receiver, sender
 from repro.mpi.protocols.common import (
     CpuSideJob,
     SideInfo,
@@ -565,10 +565,9 @@ def _rndv_send(
         cts_pkt = yield cts_box.get()
         if _ver is not None:
             _ver.wait_end(_vtok)
-        protocol = cts_pkt.header["protocol"]
-        state.stats.protocol = protocol
+        state.stats.protocol = cts_pkt.header["protocol"]
         r_info: SideInfo = cts_pkt.header["side"]
-        result = yield from SENDERS[protocol](state, s_info, r_info, cts_pkt.header)
+        result = yield from sender(state, s_info, r_info, cts_pkt.header)
         state.stats.end_s = proc.sim.now
         if state.stats.fragments == 0:
             state.stats.fragments = 1
@@ -602,7 +601,6 @@ def _rndv_recv(
     src_proc = world.procs[sender_rank]
     btl_back = btl_for(proc, src_proc)
     r_info = describe_side(proc, buf, dt, count)
-    protocol = choose_protocol(s_info, r_info, btl_back)
 
     state = TransferState(
         proc=proc,
@@ -618,18 +616,12 @@ def _rndv_recv(
         role="r",
     )
     state.stats.peer = env.source
-    state.stats.protocol = protocol
+    state.stats.protocol = choose_protocol(s_info, r_info, btl_back)
     state.bind_inbox("frag")
     state.bind_inbox("done")
     try:
-        if protocol == "ipc_rdma":
-            # the ipc_rdma receiver sends its own CTS (after mapping)
-            result = yield from RECEIVERS[protocol](state, s_info, r_info)
-        else:
-            btl_back.am_send(
-                state.peer("cts"), {"protocol": protocol, "side": r_info}
-            )
-            result = yield from RECEIVERS[protocol](state, s_info, r_info)
+        # the receiver sends the CTS (an ipc_rdma one after mapping)
+        result = yield from receiver(state, s_info, r_info)
         state.stats.end_s = proc.sim.now
         if state.stats.fragments == 0:
             state.stats.fragments = 1

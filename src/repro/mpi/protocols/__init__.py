@@ -1,38 +1,24 @@
 """Rendezvous transfer protocols.
 
-Three pipelines, selected by the receiver during the handshake
+The receiver selects one of three protocols during the handshake
 (Section 4.1: "the packing/unpacking is entirely driven by the receiver
 acting upon a GET protocol, providing an opportunity for a handshake
-prior to the beginning of the operation"):
-
-* :mod:`repro.mpi.protocols.host_pipeline` — both buffers in host memory
-  (the traditional Open MPI path; the paper's ``CPU`` baseline curves);
-* :mod:`repro.mpi.protocols.ipc_rdma` — intra-node GPU RDMA over CUDA
-  IPC with the Fig 4 fragment ring, including the contiguous fast paths;
-* :mod:`repro.mpi.protocols.copy_in_out` — GPU data staged through host
-  memory (inter-node, IPC-disabled, or mixed host/device pairs), with
-  optional UMA zero-copy.
+prior to the beginning of the operation"): ``host`` for two host
+buffers, ``ipc_rdma`` for intra-node GPU RDMA over CUDA IPC with the
+Fig 4 fragment ring and its contiguous fast paths, and ``copyinout``
+for GPU data staged through host memory.  All of them run as one
+fragment pipeline, :mod:`repro.mpi.protocols.pipeline`: each side is a
+:class:`~repro.mpi.protocols.pipeline.Leg` of stages, and one sender and
+one receiver loop run every leg.
 """
 
 from repro.mpi.protocols.common import SideInfo, TransferState, choose_protocol
-from repro.mpi.protocols import copy_in_out, host_pipeline, ipc_rdma
-
-SENDERS = {
-    "host": host_pipeline.sender,
-    "copyinout": copy_in_out.sender,
-    "ipc_rdma": ipc_rdma.sender,
-}
-
-RECEIVERS = {
-    "host": host_pipeline.receiver,
-    "copyinout": copy_in_out.receiver,
-    "ipc_rdma": ipc_rdma.receiver,
-}
+from repro.mpi.protocols.pipeline import receiver, sender
 
 __all__ = [
     "SideInfo",
     "TransferState",
     "choose_protocol",
-    "SENDERS",
-    "RECEIVERS",
+    "sender",
+    "receiver",
 ]

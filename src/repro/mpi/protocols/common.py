@@ -25,7 +25,6 @@ __all__ = [
     "TransferState",
     "CpuSideJob",
     "byte_ranges",
-    "host_ring",
     "deposit",
     "describe_side",
     "choose_protocol",
@@ -116,20 +115,6 @@ def byte_ranges(total: int, frag: int) -> list[tuple[int, int]]:
     if total == 0:
         return []
     return [(lo, min(lo + frag, total)) for lo in range(0, total, frag)]
-
-
-def host_ring(state: "TransferState", zero_copy: bool = False) -> Buffer:
-    """Acquire the pooled host staging ring of ``depth`` fragment slots.
-
-    Fragment ``i`` lives in slot ``i % depth``, at byte offset
-    ``(i % depth) * frag_bytes``; callers slice just that slot when the
-    fragment comes up.  A slot holds a sent fragment until that
-    fragment's ACK returns its credit, since the receiver reads the
-    fragment in place (see ``Btl.am_send``).  ``zero_copy`` UMA-maps the
-    ring for the GPU.
-    """
-    nbytes = state.frag_bytes * state.depth
-    return state.proc.acquire_staging("host", nbytes, zero_copy_map=zero_copy)
 
 
 def deposit(payload, seg: Buffer) -> None:
@@ -490,10 +475,6 @@ class TransferState:
     def bind_inbox(self, suffix: str) -> str:
         """Route an AM handler's packets into this transfer's inbox."""
         return self.bind(suffix, lambda pkt, _btl: self.inbox.put(pkt))
-
-    def bind_credit(self, suffix: str) -> str:
-        """Make an AM handler release one pipeline credit per packet."""
-        return self.bind(suffix, lambda pkt, _btl: self.release_credit())
 
     def unbind_all(self, *suffixes: str) -> None:
         """Remove this side's handlers for the given suffixes."""

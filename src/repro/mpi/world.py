@@ -264,12 +264,16 @@ class MpiWorld:
 
         A world and its processes reference each other, so a dropped
         world would otherwise keep its staging pools, DevCache memory
-        and transfer logs until a full collection.  A closed world has no
-        ranks and cannot run; closing twice is harmless.
+        and transfer logs until a full collection.  So would the world
+        itself, and with it its cluster, through the process table's and
+        ``COMM_WORLD``'s references back to it; both are cut.  A closed
+        world has no ranks and cannot run; closing twice is harmless.
         """
         for proc in self.procs.materialized():
             proc.close()
         self.procs._slots.clear()
+        self.procs._world = None
+        self.comm_world.world = None
 
     def _comm_freed(self, comm_id: int) -> None:
         """Record a freed context id (the pin audit checks against it)."""

@@ -19,7 +19,7 @@ from repro.mpi import proc as proc_mod
 from repro.mpi.pml import _signature_check
 from repro.mpi.proc import MpiProcess
 from repro.mpi.protocols.common import SideInfo, choose_protocol, describe_side
-from repro.mpi.protocols.ipc_rdma import transfer_mode
+from repro.mpi.protocols.pipeline import transfer_mode
 
 
 def procs(kind="sm-gpu"):

@@ -673,3 +673,22 @@ class TestWorldClose:
             assert ring() is None
         finally:
             gc.enable()
+
+    def test_closed_dropped_world_and_cluster_die_without_the_collector(self):
+        """Neither the process table nor ``COMM_WORLD`` keeps a closed
+        world alive, so it and its cluster (simulator, GPUs and their
+        memory) go by reference counting."""
+        world = make_world("sm-2gpu")
+        T = lower_triangular_type(64)  # ipc_rdma: rings, DevCache, IPC
+        b0, b1 = alloc(world, 0, 64 * 64 * 8), alloc(world, 1, 64 * 64 * 8)
+        one_way(world, b0, T, 1, b1, T, 1)
+        refs = weakref.ref(world), weakref.ref(world.cluster)
+        del b0, b1
+        gc.collect()
+        gc.disable()
+        try:
+            world.close()
+            del world
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
