@@ -15,6 +15,7 @@ into a coroutine or mailbox.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 import numpy as np
@@ -76,6 +77,7 @@ class Btl(ABC):
         envelope: Optional[Envelope] = None,
         label: str = "",
         gpudirect: bool = False,
+        clock: Optional[dict] = None,
     ) -> Future:
         """Send an AM; the returned future resolves at *delivery*.
 
@@ -101,71 +103,64 @@ class Btl(ABC):
           the original bytes after the slot has moved on
           (docs/ROBUSTNESS.md).  That is the only send-side copy.
 
-        With ``gpudirect`` the NIC reads/writes device memory directly
-        (only meaningful on transports that support it).
+        Every message takes one delivery path, :meth:`_deliver`.  Without
+        a fault plan the wire future is returned; with one, the returned
+        future resolves after the handler runs, at arrival for a delayed
+        message, and at wire completion for a dropped one.  ``clock`` is
+        the race detector's snapshot of the sending context (default:
+        the current one); a retransmission or re-ACK passes the one of
+        the send it repeats.  With ``gpudirect`` the NIC reads/writes
+        device memory directly (only meaningful on transports that
+        support it).
         """
         packet = AmPacket(handler, header, payload, envelope)
         nbytes = self.header_cost_bytes + packet.payload_bytes
         if not label:
             label = f"am:{handler}"
         faults = getattr(self.src, "faults", None)
-        if faults is None and _san.RACE is None:
-            # fault-free, uninstrumented delivery: the wire future itself
-            # carries the packet and dispatches as its first callback —
-            # callers see the same contract (resolves with the packet at
-            # delivery) without a second future per message
-            wire = self._wire_send(
-                nbytes, label, gpudirect=gpudirect, payload=packet
-            )
-
-            def deliver_fast(_f: Future) -> None:
-                self.dst.dispatch(packet, self)
-
-            wire.add_callback(deliver_fast)
-            return wire
-        wire = self._wire_send(nbytes, label, gpudirect=gpudirect)
-        done = Future(self.src.sim, label=label)
-        sim = self.src.sim
-        # network delivery is a happens-before edge from the *send*: the
-        # handler runs under the destination's AM actor joined with the
-        # sender's clock at am_send time
-        snap = None if _san.RACE is None else _san.RACE.snapshot()
-
-        def dispatch() -> None:
-            if _san.RACE is not None:
-                _san.RACE.deliver_am(
-                    f"am.r{self.dst.rank}",
-                    snap,
-                    lambda: self.dst.dispatch(packet, self),
-                )
-            else:
-                self.dst.dispatch(packet, self)
-
-        def deliver(_f: Future) -> None:
-            fault = faults.am_decision(handler) if faults is not None else None
-            if fault is None:
-                dispatch()
-                done.resolve(packet)
-                return
-            if fault.drop:
-                # the wire accepted the message; it just never arrives.
-                # The future still resolves (DMA-completion semantics).
-                done.resolve(packet)
-                return
-
-            def arrive() -> None:
-                dispatch()
-                if not done.done:
-                    done.resolve(packet)
-                if fault.dup:
-                    # the duplicate trails the original, as a spurious
-                    # retransmission would
-                    sim.call_soon(dispatch)
-
-            if fault.delay_s > 0.0:
-                sim.call_after(fault.delay_s, arrive)
-            else:
-                arrive()
-
-        wire.add_callback(deliver)
+        wire = self._wire_send(nbytes, label, gpudirect=gpudirect, payload=packet)
+        if clock is None and _san.RACE is not None:
+            # network delivery is a happens-before edge from the *send*
+            clock = _san.RACE.snapshot()
+        done = wire if faults is None else Future(self.src.sim, label=label)
+        wire.add_callback(partial(self._deliver, packet, clock, done))
         return done
+
+    def _deliver(self, packet, clock, done, at_wire, fault=None) -> None:
+        """The wire future's one callback: run the handler, complete ``done``.
+
+        Under a fault plan (``done`` is then its own future) the plan
+        draws the fault at wire completion, so its one RNG is consumed in
+        event order.  A delayed arrival or a duplicate calls again with
+        ``at_wire=None``.  The handler runs under the destination's AM
+        actor, joined with ``clock``, when the race detector is installed.
+        """
+        if at_wire is not None and done is not at_wire:
+            fault = self.src.faults.am_decision(packet.handler)
+            if fault is not None:
+                if fault.drop:
+                    # the wire accepted the message; it just never
+                    # arrives.  The send still completes (DMA-completion
+                    # semantics)
+                    done.resolve(packet)
+                    return
+                if fault.delay_s > 0.0:
+                    self.src.sim.call_after(
+                        fault.delay_s,
+                        partial(self._deliver, packet, clock, done, None, fault),
+                    )
+                    return
+        if _san.RACE is None:
+            self.dst.dispatch(packet, self)
+        else:
+            _san.RACE.deliver_am(
+                f"am.r{self.dst.rank}",
+                clock,
+                partial(self.dst.dispatch, packet, self),
+            )
+        if done is not at_wire and not done.done:
+            done.resolve(packet)
+        if fault is not None and fault.dup:
+            # the duplicate trails the original, as a spurious
+            # retransmission would
+            self.src.sim.call_soon(partial(self._deliver, packet, clock, done, None))

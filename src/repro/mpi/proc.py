@@ -86,6 +86,8 @@ class MpiProcess:
         #: key) and their total bytes, bounded by STAGING_IDLE_CAP
         self._staging_lru: dict[str, OrderedDict] = {}
         self.staging_idle_bytes: dict[str, int] = {}
+        #: set by close(): staging returned afterwards is freed, not pooled
+        self._closed = False
 
     # -- staging buffer pool ------------------------------------------------
     def acquire_staging(
@@ -147,7 +149,16 @@ class MpiProcess:
         released always stays: a transfer that keeps reusing one ring
         larger than the cap must not pay a fresh allocation (and its
         peer a fresh IPC registration) every time.
+
+        A closed process frees the buffer instead (unmapping a zero-copy
+        ring first): a transfer still parked when its world closed
+        returns its ring only when the collector finalizes it.
         """
+        if self._closed:
+            if zero_copy_map:
+                unmap_host_buffer(buf)
+            buf.free()
+            return
         snap = None if _san.RACE is None else _san.RACE.snapshot()
         key = (kind, buf.nbytes, zero_copy_map)
         self._staging_pool[key].append((buf, snap))
@@ -172,8 +183,10 @@ class MpiProcess:
         Pooled staging is freed (zero-copy rings unmapped first), the
         engine's DevCache gives back its device memory, and the IPC
         registrations, transfer log and Active Message handlers are
-        dropped: the ``pml.rts`` handler closes over this process.
+        dropped: the ``pml.rts`` handler closes over this process.  A
+        buffer returned afterwards is freed (:meth:`release_staging`).
         """
+        self._closed = True
         for (_kind, _nbytes, mapped), pool in self._staging_pool.items():
             for buf, _snap in pool:
                 if mapped:

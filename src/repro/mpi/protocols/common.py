@@ -321,14 +321,7 @@ class TransferState:
         if attempt:
             self.stats.retransmits += 1
             self.proc.metrics.counter("pml.retransmits").inc()
-        if _san.RACE is not None and snap is not None:
-            _san.RACE.deliver_am(
-                f"{self.tid}.{self.role}.xmit",
-                snap,
-                lambda: self.btl.am_send(self.peer("frag"), header, payload=payload),
-            )
-        else:
-            self.btl.am_send(self.peer("frag"), header, payload=payload)
+        self.btl.am_send(self.peer("frag"), header, payload=payload, clock=snap)
         if not self.reliable:
             return
         policy = self.proc.config.retry
@@ -385,15 +378,7 @@ class TransferState:
         the dispatcher loop, not the unpack chain.
         """
         i = int(i)
-        snap = self._done_snaps.get(i)
-        if _san.RACE is not None and snap is not None:
-            _san.RACE.deliver_am(
-                f"{self.tid}.{self.role}.reack",
-                snap,
-                lambda: self.btl.am_send(self.peer("ack"), {"i": i}),
-            )
-        else:
-            self.btl.am_send(self.peer("ack"), {"i": i})
+        self.btl.am_send(self.peer("ack"), {"i": i}, clock=self._done_snaps.get(i))
 
     def seal(self) -> None:
         """Keep answering late retransmissions after the transfer ends.

@@ -99,7 +99,18 @@ class MpiWorld:
             (n, g) for n, g in placements
         )
         self._node_ranks: dict[int, list[int]] = {}
-        for rank, (node_i, _gpu_i) in enumerate(self.placements):
+        nodes = cluster.nodes
+        for rank, (node_i, gpu_i) in enumerate(self.placements):
+            if not 0 <= node_i < len(nodes):
+                raise ValueError(
+                    f"MpiWorld: placements[{rank}] node={node_i} is not a "
+                    f"node of this {len(nodes)}-node cluster"
+                )
+            if gpu_i is not None and not 0 <= gpu_i < len(nodes[node_i].gpus):
+                raise ValueError(
+                    f"MpiWorld: placements[{rank}] gpu={gpu_i} is not a GPU "
+                    f"of node {node_i}, which has {len(nodes[node_i].gpus)}"
+                )
             self._node_ranks.setdefault(node_i, []).append(rank)
         #: scratch tables collectives use to exchange per-call metadata
         #: out-of-band (keyed by (op, seq); see repro.mpi.collectives)
@@ -458,6 +469,8 @@ class RankContext:
             )
         if count < 0:
             raise ValueError(f"isend: count={count} is negative")
+        if tag < 0:
+            raise ValueError(f"isend: tag={tag} is negative")
         comm_id = comm.comm_id if comm is not None else 0
         nbytes = datatype.size * count
         req = Request(
@@ -488,6 +501,8 @@ class RankContext:
             )
         if count < 0:
             raise ValueError(f"irecv: count={count} is negative")
+        if tag < 0 and tag != ANY_TAG:
+            raise ValueError(f"irecv: tag={tag} is neither ANY_TAG nor >= 0")
         comm_id = comm.comm_id if comm is not None else 0
         nbytes = datatype.size * count
         req = Request(

@@ -37,7 +37,10 @@ Performance notes (see ``docs/SIM_PERF.md``):
 * The race-detector hooks in ``Future.resolve``/``Process._step`` are not
   per-event branches: :func:`repro.sanitize.runtime.subscribe` swaps fast
   vs. instrumented method bindings once at ``sanitize.enable``/``disable``
-  time, so the uninstrumented hot path pays zero sanitizer cost.
+  time, so the uninstrumented hot path pays zero sanitizer cost.  Each
+  instrumented form is a wrapper that adds its hooks around the fast
+  body (stamp the future, then complete it; enter the process's actor,
+  step, exit), so a sanitized run executes the benchmark's own bodies.
 * :meth:`Simulator.run` pauses CPython's automatic cyclic collector while
   the loop runs: the message path builds no reference cycles, so every
   pass inside a run would walk live objects and find nothing.
@@ -151,13 +154,6 @@ class Future:
         """Complete the future with an exception (exactly once)."""
         raise NotImplementedError  # pragma: no cover - replaced at import
 
-    def _dispatch(self) -> None:
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            for cb in callbacks:
-                cb(self)
-
     def _resolve_scheduled(self) -> None:
         """Timer thunk: resolve with the value stashed at schedule time.
 
@@ -188,16 +184,6 @@ def _future_resolve_fast(self: Future, value: Any = None) -> None:
             cb(self)
 
 
-def _future_resolve_san(self: Future, value: Any = None) -> None:
-    """Complete the future with a value (exactly once) — instrumented."""
-    if self._value is not _PENDING or self._exception is not None:
-        raise SimulationError(f"future {self.label!r} resolved twice")
-    self._value = value
-    if _san.RACE is not None:
-        self._san_snap = _san.RACE.merge_with_context(self._san_snap)
-    self._dispatch()
-
-
 def _future_fail_fast(self: Future, exc: BaseException) -> None:
     """Complete the future with an exception (exactly once)."""
     if self._value is not _PENDING or self._exception is not None:
@@ -210,14 +196,31 @@ def _future_fail_fast(self: Future, exc: BaseException) -> None:
             cb(self)
 
 
-def _future_fail_san(self: Future, exc: BaseException) -> None:
-    """Complete the future with an exception (exactly once) — instrumented."""
-    if self._value is not _PENDING or self._exception is not None:
-        raise SimulationError(f"future {self.label!r} resolved twice")
-    self._exception = exc
-    if _san.RACE is not None:
-        self._san_snap = _san.RACE.merge_with_context(self._san_snap)
-    self._dispatch()
+def _race_stamped(complete: Callable[..., None]) -> Callable[..., None]:
+    """The race-instrumented form of a completion: stamp, then complete.
+
+    The resolver's clock joins the future's stamp before ``complete``
+    (the fast body) runs the callbacks, so every waiter resumes with it.
+    The merge does not read the value, so stamping first is the same as
+    stamping after.  A future that is already done keeps its stamp, and
+    the fast body raises the double resolve.
+    """
+
+    def instrumented(self: Future, *args: Any) -> None:
+        if (
+            _san.RACE is not None
+            and self._value is _PENDING
+            and self._exception is None
+        ):
+            self._san_snap = _san.RACE.merge_with_context(self._san_snap)
+        complete(self, *args)
+
+    instrumented.__doc__ = complete.__doc__
+    return instrumented
+
+
+_future_resolve_san = _race_stamped(_future_resolve_fast)
+_future_fail_san = _race_stamped(_future_fail_fast)
 
 
 class Process(Future):
@@ -329,45 +332,18 @@ def _process_step_fast(
 def _process_step_san(
     self: Process, value: Any, exc: Optional[BaseException]
 ) -> None:
-    if self._value is not _PENDING or self._exception is not None:
-        return
+    """:func:`_process_step_fast` run under the process's race actor."""
     race = _san.RACE
-    if race is not None:
-        if self._san_actor is None:
-            self._san_actor = race.on_spawn(self.label)
-        race.enter(self._san_actor)
+    if race is None or self._value is not _PENDING or self._exception is not None:
+        _process_step_fast(self, value, exc)
+        return
+    if self._san_actor is None:
+        self._san_actor = race.on_spawn(self.label)
+    race.enter(self._san_actor)
     try:
-        try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self._step0 = self._resume = None
-            self.resolve(stop.value)
-            return
-        except BaseException as err:  # kills too: propagate into waiters
-            self._step0 = self._resume = None
-            self.fail(err)
-            return
+        _process_step_fast(self, value, exc)
     finally:
-        if race is not None:
-            race.exit()
-
-    if target is None:
-        self.sim.schedule_soon(self._step0)
-    elif isinstance(target, Future) or hasattr(target, "add_callback"):
-        target.add_callback(self._resume)
-    else:
-        self.sim.schedule_soon(
-            lambda: self._step(
-                None,
-                TypeError(
-                    f"process {self.label!r} yielded "
-                    f"{type(target).__name__}; expected Future or None"
-                ),
-            )
-        )
+        race.exit()
 
 
 def _process_resume_fast(self: Process, fut: Future) -> None:
@@ -381,16 +357,12 @@ def _process_resume_fast(self: Process, fut: Future) -> None:
 
 
 def _process_resume_san(self: Process, fut: Future) -> None:
+    """:func:`_process_resume_fast` after joining the future's stamp."""
     if _san.RACE is not None and self._san_actor is not None:
         # waking on a resolved future is a happens-before edge: the
         # resolver's (or pre-stamped producer's) clock joins ours
-        # getattr: duck-typed awaitables (e.g. mpi.requests.Request)
-        # are legal yield targets but carry no snapshot
-        _san.RACE.on_resume(self._san_actor, getattr(fut, "_san_snap", None))
-    if fut.failed:
-        self._step(None, fut.exception)
-    else:
-        self._step(fut._value, None)
+        _san.RACE.on_resume(self._san_actor, fut._san_snap)
+    _process_resume_fast(self, fut)
 
 
 class TimerHandle:

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from repro import sanitize
 from repro.datatype.ddt import contiguous, resized, vector
 from repro.datatype.primitives import DOUBLE
+from repro.faults.plan import FaultSpec
 from repro.hw.node import Cluster
 from repro.mpi.btl.ib import IbBtl
 from repro.mpi.btl.sm import SmBtl
@@ -20,6 +22,8 @@ from repro.mpi.pml import _signature_check
 from repro.mpi.proc import MpiProcess
 from repro.mpi.protocols.common import SideInfo, choose_protocol, describe_side
 from repro.mpi.protocols.pipeline import transfer_mode
+from repro.sanitize import runtime as san_runtime
+from repro.sanitize.options import SanitizeOptions
 
 
 def procs(kind="sm-gpu"):
@@ -456,3 +460,57 @@ class TestAmDispatch:
         assert np.shares_memory(arr.payload, data)
         assert np.array_equal(arr.payload, data)
         assert buf.payload is seg and buf.payload_bytes == 64
+
+    #: extra arrival delay of the ``delay`` plan, seconds
+    DELAY = 1e-3
+    #: every targeted message meets the named fault
+    PLANS = {
+        None: None,
+        "drop": FaultSpec(seed=1, am_drop=1.0),
+        "dup": FaultSpec(seed=1, am_dup=1.0),
+        "delay": FaultSpec(seed=1, am_delay=1.0, am_delay_s=DELAY),
+    }
+    #: what one ``am_send`` does under each plan, in order: each handler
+    #: run and the returned future's resolution, at wire completion
+    #: ("wire") or at the delayed arrival ("late").  A dropped message
+    #: still completes its send; a duplicate runs the handler again after
+    #: the first run; a delayed one completes the send only on arrival
+    RULES = {
+        None: [("handler", "wire"), ("done", "wire")],
+        "drop": [("done", "wire")],
+        "dup": [("handler", "wire"), ("done", "wire"), ("handler", "wire")],
+        "delay": [("handler", "late"), ("done", "late")],
+    }
+
+    @pytest.mark.parametrize("race", [False, True], ids=["plain", "race"])
+    @pytest.mark.parametrize("plan", list(RULES), ids=str)
+    def test_delivery_rules(self, plan, race):
+        """Handler runs and send completion under each fault, with and
+        without the race detector: the one delivery path keeps them."""
+        with sanitize.enabled(SanitizeOptions(race=race)):
+            c = Cluster(1, 2)
+            node = c.nodes[0]
+            config = MpiConfig(faults=self.PLANS[plan])
+            p0 = MpiProcess(0, node, node.gpus[0], config)
+            p1 = MpiProcess(1, node, node.gpus[1], MpiConfig())
+            btl = SmBtl(p0, p1)
+            log = []
+
+            def handler(pkt, _btl):
+                # under the race detector the handler runs in the
+                # destination's delivery actor
+                actor = None if san_runtime.RACE is None else san_runtime.RACE.current
+                assert actor == ("am.r1" if race else None)
+                log.append(("handler", c.sim.now))
+
+            p1.register_handler("t.frag", handler)
+            done = btl.am_send("t.frag", {"i": 0})
+            done.add_callback(lambda f: log.append(("done", c.sim.now)))
+            c.sim.run()
+
+        link = node.shmem_link
+        wire = link.overhead + btl.header_cost_bytes / link.bandwidth + link.latency
+        at = {"wire": wire, "late": wire + self.DELAY}
+        expected = [(what, pytest.approx(at[when])) for what, when in self.RULES[plan]]
+        assert log == expected
+        assert done.done == any(what == "done" for what, _ in self.RULES[plan])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import types
 import weakref
 
@@ -13,6 +14,7 @@ from repro.cuda.uma import is_mapped_host
 from repro.datatype.convertor import Convertor, pack_bytes
 from repro.datatype.ddt import contiguous, vector
 from repro.datatype.primitives import BYTE, DOUBLE
+from repro.faults.plan import FaultSpec, IpcOpenError
 from repro.hw.node import Cluster
 from repro.mpi.btl.base import Btl
 from repro.mpi.config import MpiConfig
@@ -268,6 +270,28 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="count=-1 "):
             getattr(mpi, call)(mpi.host_alloc(8), contiguous(1, BYTE).commit(),
                                -1, 1)
+
+    @pytest.mark.parametrize("placement, arg", [
+        ((-1, 0), "node=-1 "), ((1, 0), "node=1 "),
+        ((0, -1), "gpu=-1 "), ((0, 2), "gpu=2 "),
+    ])
+    def test_placement_outside_the_cluster(self, placement, arg):
+        """A negative index used to wrap (rank 1 on ``node0.gpu0``), and
+        one past the end raised ``IndexError`` at the first run."""
+        with pytest.raises(ValueError, match=rf"MpiWorld: placements\[1\] {arg}"):
+            MpiWorld(Cluster(1, 2), [(0, 0), placement])
+
+    @pytest.mark.parametrize("call, tag", [
+        ("isend", -1), ("isend", -7), ("irecv", -2),
+    ])
+    def test_negative_tag(self, call, tag):
+        """``send(tag=-1)`` used to post a message no receive for a real
+        tag matches (-1 is ``ANY_TAG``), ending in a bare deadlock."""
+        world = self.world3()
+        mpi = world.context(0)
+        with pytest.raises(ValueError, match=f"{call}: tag={tag} "):
+            getattr(mpi, call)(mpi.host_alloc(8), contiguous(1, BYTE).commit(),
+                               8, 1, tag)
 
     def test_edge_ranks_and_any_source_still_deliver(self):
         world = self.world3()
@@ -673,6 +697,30 @@ class TestWorldClose:
             assert ring() is None
         finally:
             gc.enable()
+
+    def test_closed_process_frees_staging_returned_late(self, monkeypatch):
+        """A PUT receiver whose sender raised ``IpcOpenError`` is still
+        parked when its world closes.  The collector finalizes it later,
+        and the ring it returns is freed, not put back into the pools
+        ``close()`` cleared (which raised ``KeyError`` in the finalizer)."""
+        config = MpiConfig(
+            rdma_mode="put", frag_bytes=8192, pipeline_depth=3,
+            faults=FaultSpec(seed=1, ipc_open_fail=1.0),
+        )
+        world = make_world("sm-2gpu", config)
+        V = vector(64, 32, 48, DOUBLE).commit()
+        b0, b1 = alloc(world, 0, V.extent), alloc(world, 1, V.extent)
+        gpu = world.procs[1].gpu
+        in_use = gpu.memory.bytes_in_use
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(IpcOpenError):
+            one_way(world, b0, V, 1, b1, V, 1)
+        world.close()
+        del world
+        gc.collect()
+        assert [u.exc_value for u in unraisable] == []
+        assert gpu.memory.bytes_in_use == in_use
 
     def test_closed_dropped_world_and_cluster_die_without_the_collector(self):
         """Neither the process table nor ``COMM_WORLD`` keeps a closed

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
+from repro.sanitize import runtime
 from repro.sanitize.options import SanitizeOptions
 from repro.sim import core
 from repro.sim.core import Future, Simulator, all_of, any_of
@@ -209,26 +210,32 @@ class TestEagerStart:
 
 class TestSanitizedDispatch:
     def test_binding_swaps_and_trace_is_unchanged(self):
-        # uninstrumented run first
-        plain: Trace = []
-        _process_mesh(Simulator(), plain)
-        assert Future.resolve is core._future_resolve_fast
+        # the plain leg needs the fast forms bound, also in a session that
+        # installed checkers (REPRO_SANITIZE); theirs come back afterwards
+        saved = runtime.snapshot()
+        runtime.clear()
+        try:
+            plain: Trace = []
+            _process_mesh(Simulator(), plain)
+            assert Future.resolve is core._future_resolve_fast
 
-        with sanitize.enabled(SanitizeOptions.all(mode="raise")) as rep:
-            # the one-time binding swapped every hot dispatch method
-            assert Future.resolve is core._future_resolve_san
-            assert Future.fail is core._future_fail_san
-            assert core.Process._step is core._process_step_san
-            assert core.Process._resume_from is core._process_resume_san
-            instrumented: Trace = []
-            _process_mesh(Simulator(), instrumented)
-        # mode="raise" would have thrown on any violation; the report
-        # must also be clean — every cross-process wake carried its edge
-        assert not rep.violations
-        assert instrumented == plain
-        # and the binding restored the fast forms on exit
-        assert Future.resolve is core._future_resolve_fast
-        assert core.Process._step is core._process_step_fast
+            with sanitize.enabled(SanitizeOptions.all(mode="raise")) as rep:
+                # the one-time binding swapped every hot dispatch method
+                assert Future.resolve is core._future_resolve_san
+                assert Future.fail is core._future_fail_san
+                assert core.Process._step is core._process_step_san
+                assert core.Process._resume_from is core._process_resume_san
+                instrumented: Trace = []
+                _process_mesh(Simulator(), instrumented)
+            # mode="raise" would have thrown on any violation; the report
+            # must also be clean — every cross-process wake carried its edge
+            assert not rep.violations
+            assert instrumented == plain
+            # and the binding restored the fast forms on exit
+            assert Future.resolve is core._future_resolve_fast
+            assert core.Process._step is core._process_step_fast
+        finally:
+            runtime.restore(saved)
 
     def test_sanitized_link_traffic_clean_and_identical(self):
         plain: Trace = []
