@@ -9,17 +9,18 @@ paper builds on:
 * the flattened *typemap* representation (:mod:`repro.datatype.typemap`) —
   coalesced (displacement, length) spans in pack order, computed with
   vectorized NumPy span algebra so million-block types stay cheap;
-* the **stack-based convertor** (:mod:`repro.datatype.stack`,
-  :mod:`repro.datatype.convertor`) — Open MPI's pack/unpack state machine
-  ("a datatype is described by a concise stack-based representation",
-  Section 3), supporting pause/resume at arbitrary byte positions for
-  fragment pipelining;
-* a vectorized gather/scatter fast path validated against the stack
-  machine by property tests;
 * the **canonical IR** (:mod:`repro.datatype.canonical`) — the normal
   form of ``(datatype, count)`` with a stable structural key (what the
   DevCache and fast-path selection key on) and the compiled pack-plan
-  menu chosen by a small cost model.
+  menu (memcpy, strided2d, gather) chosen by a small cost model;
+* the **convertor** (:mod:`repro.datatype.convertor`) — Open MPI's
+  fragment-oriented pack/unpack interface over those compiled plans,
+  random-access at any byte position for fragment pipelining.
+
+Open MPI's stack-based representation ("a datatype is described by a
+concise stack-based representation", Section 3) survives as a frozen
+test oracle, ``tests/datatype/reference_stack.py``: property tests hold
+every plan to its bytes.
 """
 
 from repro.datatype.primitives import (

@@ -19,7 +19,7 @@ CUDA-aware datatypes", arXiv 2012.14363) and derives from it
 * a **menu of compiled pack plans** — :func:`select_cpu_plan` /
   :func:`select_gpu_plan` — chosen by a small byte-cost model
   (:func:`plan_cost`), so contiguous, strided and irregular layouts each
-  get their first-class fast path instead of the generic stack walk.
+  get their first-class fast path.
 
 Normalization rules (applied by construction — the span algebra performs
 them during :meth:`~repro.datatype.ddt.Datatype.commit`, and
@@ -73,7 +73,6 @@ __all__ = [
     "PLAN_STRIDED2D",
     "PLAN_VECTOR_KERNEL",
     "PLAN_GATHER",
-    "PLAN_STACK",
     "plan_cost",
     "select_cpu_plan",
     "select_gpu_plan",
@@ -90,11 +89,10 @@ PLAN_STRIDED2D = "strided2d"
 PLAN_VECTOR_KERNEL = "vector_kernel"
 #: irregular runs: precompiled gather map (CPU) / CUDA_DEV work list (GPU)
 PLAN_GATHER = "gather"
-#: generic resumable stack walk — always feasible, never fast
-PLAN_STACK = "stack"
 
-#: plans the CPU convertor can execute, in typical cost order
-CPU_PLANS = (PLAN_MEMCPY, PLAN_STRIDED2D, PLAN_GATHER, PLAN_STACK)
+#: plans the CPU convertor can execute, in typical cost order; the
+#: gather is always feasible (at byte granularity, for any base offset)
+CPU_PLANS = (PLAN_MEMCPY, PLAN_STRIDED2D, PLAN_GATHER)
 #: plans the GPU datatype engine can execute
 GPU_PLANS = (PLAN_MEMCPY, PLAN_VECTOR_KERNEL, PLAN_GATHER)
 
@@ -373,16 +371,15 @@ def display_id(dt: Datatype) -> str:
 # Relative per-byte costs of each plan's inner loop, in arbitrary units.
 # Only the ordering matters for selection; the constants encode what the
 # paper (and the repo's own benchmarks) measured: one big copy beats
-# row-wise strided copies, which beat an element-granular gather, which
-# beats the interpreted stack walk by a wide margin.  Per-block overheads
-# make many-tiny-block layouts prefer the gather map once rows get small.
+# row-wise strided copies, which beat an element-granular gather.
+# Per-block overheads make many-tiny-block layouts prefer the gather map
+# once rows get small.
 
 _BYTE_COST = {
     PLAN_MEMCPY: 1.0,
     PLAN_STRIDED2D: 1.2,
     PLAN_VECTOR_KERNEL: 1.2,
     PLAN_GATHER: 4.0,
-    PLAN_STACK: 40.0,
 }
 #: fixed per-block overhead (loop iteration / descriptor fetch)
 _BLOCK_COST = {
@@ -390,7 +387,6 @@ _BLOCK_COST = {
     PLAN_STRIDED2D: 16.0,
     PLAN_VECTOR_KERNEL: 16.0,
     PLAN_GATHER: 8.0,
-    PLAN_STACK: 64.0,
 }
 
 
@@ -400,24 +396,21 @@ def plan_cost(form: CanonicalForm, plan: str) -> float:
 
 
 def select_cpu_plan(
-    form: CanonicalForm, unit: int, base_offset: int = 0,
-    lattice: Optional[Lattice] = None,
+    form: CanonicalForm, unit: int, lattice: Optional[Lattice] = None,
 ) -> str:
-    """Cheapest feasible CPU pack plan for ``form`` at granularity ``unit``.
+    """Cheapest feasible CPU pack plan for ``form`` at granularity ``unit``
+    and a unit-aligned base offset (a convertor whose base is not runs
+    the gather at byte granularity).
 
     A runs form is a ``lattice`` only when the caller found one in its
     spans (:attr:`StreamPlan.lattice`); a vector form is its own.
     """
-    if base_offset % unit != 0:
-        # the gather map and strided views are element-granular; a
-        # sub-unit base shift is only expressible by the stack machine
-        return PLAN_STACK
     feasible = []
     if form.kind == "contig" and math.gcd(form.size, form.first_disp) % unit == 0:
         feasible.append(PLAN_MEMCPY)
     if (lattice or _lattice(form, unit)) is not None:
         feasible.append(PLAN_STRIDED2D)
-    feasible += (PLAN_GATHER, PLAN_STACK)
+    feasible.append(PLAN_GATHER)
     return min(feasible, key=lambda p: plan_cost(form, p))
 
 

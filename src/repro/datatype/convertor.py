@@ -1,31 +1,32 @@
 """Pack/unpack convertors: a compiled stream plan bound to one buffer.
 
-Two interchangeable engines exist:
+Every pack and unpack runs a **compiled pack plan**, chosen once per
+(datatype, count) from the canonical IR by its cost model and cached in
+the datatype's :class:`~repro.datatype.canonical.StreamPlan`.  A
+convertor binds that plan to a user buffer and runs the plan's executor
+on every range:
 
-* :class:`repro.datatype.stack.StackMachine` — the faithful Open MPI
-  stack walk, resumable at any byte (reference implementation);
-* the **compiled pack plans**, chosen once per (datatype, count) from the
-  canonical IR by its cost model and cached in the datatype's
-  :class:`~repro.datatype.canonical.StreamPlan`.  A convertor binds that
-  plan to a user buffer and runs the plan's executor on every range:
+- ``memcpy``    — single gap-free block: one slice copy per range;
+- ``strided2d`` — a 2-D lattice (a vector's blocks, a transpose's
+  columns): head/body/tail slice copies over one strided (row, element)
+  view of the buffer (the CPU counterpart of ``cudaMemcpy2D``);
+- ``gather``    — one fancy-index expression over the plan's gather map
+  at the stream unit (8 B for double-based types) — the moral equivalent
+  of the paper's cached CUDA_DEV list: it depends only on the type's
+  *shape*, never on buffer addresses, so it is built once per
+  (datatype, count) and reused for every later pack/unpack.
 
-  - ``memcpy``    — single gap-free block: one slice copy per range;
-  - ``strided2d`` — a 2-D lattice (a vector's blocks, a transpose's
-    columns): head/body/tail slice copies over one strided (row, element)
-    view of the buffer (the CPU counterpart of ``cudaMemcpy2D``);
-  - ``gather``    — one fancy-index expression over the plan's gather
-    map at the stream unit (8 B for double-based types) — the moral
-    equivalent of the paper's cached CUDA_DEV list: it depends only on
-    the type's *shape*, never on buffer addresses, so it is built once
-    per (datatype, count) and reused for every later pack/unpack;
-  - ``stack``     — the resumable stack walk, for sub-unit base offsets
-    and fragment boundaries no precompiled map can express.
+The gather also runs at byte granularity, over the same map expanded to
+bytes: for a base offset that is not a multiple of the unit (for every
+range), and for a streaming cut off the unit (for that range only).
+Every executor is random-access, so ranges may come in any order.  A
+memcpy or strided layout reaching past the end of the bound buffer runs
+the bounds-checked gather executor instead.  The baselines move their
+runs through the same :func:`strided_view`.
 
-  A memcpy or strided layout reaching past the end of the bound buffer
-  runs the bounds-checked gather executor instead.  The baselines move
-  their runs through the same :func:`strided_view`.
-
-Both engines are validated against each other by property tests.
+Property tests hold every executor to two oracles: a walk over the
+typemap spans, and Open MPI's stack machine compiled from the
+constructor tree (``tests/datatype/reference_stack.py``).
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ import numpy as np
 from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
-    PLAN_STACK,
     PLAN_STRIDED2D,
     stream_plan,
 )
 from repro.datatype.ddt import Datatype
-from repro.datatype.stack import StackMachine, compile_datatype
 
 __all__ = ["Convertor", "gather_indices", "pack_bytes", "strided_view",
            "unpack_bytes"]
@@ -66,7 +65,7 @@ class Convertor:
     ``opal_convertor_pack``: ask for the next ``n`` bytes of the packed
     stream (pack), or deliver the next ``n`` bytes (unpack).  Fragment
     boundaries that are multiples of the stream unit run the plan's
-    executor; anything else falls back to the stack machine.
+    executor; any other cut moves its range through the byte gather.
     """
 
     def __init__(
@@ -97,16 +96,12 @@ class Convertor:
         self._idx: Optional[np.ndarray] = None
         self._user_elems: Optional[np.ndarray] = None
         self._rows_view: Optional[np.ndarray] = None
-        self._stack: Optional[StackMachine] = None
-        #: dedicated stack machine for the *range* API when the base is
-        #: misaligned (the gather map cannot express a sub-unit shift)
-        self._rstack: Optional[StackMachine] = None
-        self._rstack_pos = 0
-        plan = PLAN_STACK if base_offset % sp.unit else sp.cpu_plan
         #: the whole layout lies inside the buffer; otherwise only the
         #: bounds-checked gather may touch it (a prefix of a short buffer)
         self._fits = base_offset + sp.true_ub <= len(user_bytes)
-        if plan in (PLAN_MEMCPY, PLAN_STRIDED2D) and not self._fits:
+        misaligned = base_offset % sp.unit
+        plan = sp.cpu_plan
+        if misaligned or not self._fits:
             plan = PLAN_GATHER
         #: the CPU pack plan this convertor executes
         self.plan = plan
@@ -117,11 +112,11 @@ class Convertor:
             self._exec = Convertor._memcpy
         elif plan == PLAN_STRIDED2D:
             self._exec = Convertor._strided
-        elif plan == PLAN_GATHER:
-            self._exec = Convertor._gather
+        elif misaligned:
+            # the unit map cannot express a sub-unit shift
+            self._exec = Convertor._bytes
         else:
-            self._exec = None
-            self._fallback()  # misaligned base: stack machine from the start
+            self._exec = Convertor._gather
 
     # -- buffer-bound views ------------------------------------------------
     def _elems(self) -> np.ndarray:
@@ -213,23 +208,17 @@ class Convertor:
         else:
             self._elems()[idx] = buf.view(_unit_dtype(u))
 
-    def _fallback(self) -> StackMachine:
-        if self._stack is None:
-            self.plan = PLAN_STACK
-            prog = compile_datatype(self.dt, self.count)
-            self._stack = StackMachine(
-                prog, self.user, direction=self.direction, base_disp=self.base_offset
-            )
-            # fast-forward to the current position
-            if self.position:
-                scratch = np.empty(self.position, dtype=np.uint8)
-                if self._packing:
-                    self._stack.advance(scratch)
-                else:
-                    raise RuntimeError(
-                        "cannot fall back mid-unpack; use aligned fragments"
-                    )
-        return self._stack
+    def _bytes(self, buf: np.ndarray, lo: int, hi: int) -> None:
+        """The gather at byte granularity: the unit map's slice covering
+        [lo, hi), expanded to byte offsets and trimmed to the range."""
+        u = self._unit
+        idx = self.stream_plan.gather_map()[lo // u : -(-hi // u)]
+        idx = np.add.outer(idx * u, np.arange(u)).ravel()[lo % u :][: hi - lo]
+        idx += self.base_offset
+        if self._packing:
+            self.user.take(idx, out=buf, mode="clip" if self._fits else "raise")
+        else:
+            self.user[idx] = buf
 
     # -- API ------------------------------------------------------------------
     @property
@@ -246,11 +235,11 @@ class Convertor:
             return 0
         lo, hi = self.position, self.position + n
         u = self._unit
-        if self._stack is None and lo % u == 0 and hi % u == 0:
-            self._exec(self, buf[:n], lo, hi)
+        if lo % u or hi % u:
+            # a cut off the stream unit: this range alone moves bytewise
+            Convertor._bytes(self, buf[:n], lo, hi)
         else:
-            done = self._fallback().advance(buf[:n])
-            assert done == n
+            self._exec(self, buf[:n], lo, hi)
         self.position = hi
         return n
 
@@ -266,51 +255,11 @@ class Convertor:
             raise RuntimeError("convertor was created for pack")
         return self._next(data, max_bytes)
 
-    def _range_stack(self, lo: int) -> StackMachine:
-        """Stack machine backing the range API for misaligned bases.
-
-        The gather index array is element-granular, so a ``base_offset``
-        that is not a multiple of the unit cannot be folded into it — the
-        old fast path silently dropped the sub-unit shift and touched the
-        wrong user bytes.  Packing may revisit or skip ranges (the stream
-        is regenerated / advanced through scratch); unpacking is
-        inherently sequential — consumed bytes cannot be replayed.
-        """
-        if self._rstack is not None and self._rstack_pos > lo:
-            if not self._packing:
-                raise RuntimeError(
-                    "misaligned-base unpack_range cannot rewind; "
-                    "deliver fragments in stream order"
-                )
-            self._rstack = None  # rewind: rebuild and re-walk the stream
-        if self._rstack is None:
-            prog = compile_datatype(self.dt, self.count)
-            self._rstack = StackMachine(
-                prog, self.user, direction=self.direction,
-                base_disp=self.base_offset,
-            )
-            self._rstack_pos = 0
-        if self._rstack_pos < lo:
-            if not self._packing:
-                raise RuntimeError(
-                    "misaligned-base unpack_range cannot skip ahead; "
-                    "deliver fragments in stream order"
-                )
-            scratch = np.empty(lo - self._rstack_pos, dtype=np.uint8)
-            self._rstack.advance(scratch)
-            self._rstack_pos = lo
-        return self._rstack
-
     def _range(self, buf: np.ndarray, lo: int, hi: int, what: str) -> None:
         u = self._unit
         if lo % u or hi % u:
             raise ValueError(f"{what} requires granularity-aligned bounds")
         if lo == hi:
-            return
-        if self._exec is None:
-            done = self._range_stack(lo).advance(buf[: hi - lo])
-            assert done == hi - lo
-            self._rstack_pos = hi
             return
         self._exec(self, buf[: hi - lo], lo, hi)
 

@@ -32,6 +32,7 @@ __all__ = [
     "struct",
     "subarray",
     "resized",
+    "require_datatypes",
 ]
 
 # Per-object identity counter.  INTERNAL to repro.datatype: it is unique
@@ -290,6 +291,18 @@ def _as_datatype(t: "Datatype | Primitive") -> Datatype:
     if isinstance(t, Primitive):
         return _primitive_datatype(t)
     raise TypeError(f"expected Datatype or Primitive, got {type(t).__name__}")
+
+
+def require_datatypes(call: str, **args) -> None:
+    """Raise ``TypeError`` naming ``call`` and the first of ``args`` that
+    is not a :class:`Datatype`.  Sends, receives and collectives take
+    derived types only; ``contiguous(1, p)`` wraps a primitive ``p``."""
+    for name, value in args.items():
+        if not isinstance(value, Datatype):
+            raise TypeError(
+                f"{call}: {name}={value!r} is a {type(value).__name__}, "
+                "not a Datatype (wrap a primitive p as contiguous(1, p))"
+            )
 
 
 _PRIM_CACHE: dict[str, Datatype] = {}

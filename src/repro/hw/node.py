@@ -121,6 +121,13 @@ class Cluster:
         trace: bool = False,
         sim: Optional[Simulator] = None,
     ) -> None:
+        if n_nodes < 1:
+            raise ValueError(f"Cluster: n_nodes={n_nodes} must be >= 1")
+        if gpus_per_node < 0:
+            # 0 is a host-only node
+            raise ValueError(
+                f"Cluster: gpus_per_node={gpus_per_node} must be >= 0"
+            )
         self.params = params or k40_cluster()
         #: ``sim`` lets a caller supply the clock — the schedule
         #: explorer (repro.sanitize.verify.explore) injects a seeded

@@ -8,7 +8,7 @@ of a triangular matrix from GPU memory pipelines through the same
 CUDA-IPC/copy-in-out machinery as a send.
 
 Every call compiles into this rank's *schedule*: a list of rounds, each
-a list of legs ``(send, peer, (buf, dt, count), phase)``.  Five shapes
+a list of legs ``(send, peer, (buf, dt, count))``.  Five shapes
 cover the five ops — ``_tree`` (binomial bcast), ``_fan_out`` (flat
 bcast), ``_fan_in`` (gather), ``_flat`` (allgather and alltoall(v): own
 block first, then each peer) and ``_ordered`` (ring allgather and
@@ -16,7 +16,7 @@ pairwise alltoall rounds).  Every collective accepts an algorithm from
 the :class:`CollAlgorithm` ladder (see docs/COLLECTIVES.md), resolved per
 call from an explicit ``algorithm=`` override, else
 ``MpiConfig.coll_algorithm``, else the per-op ``"auto"`` default; the
-rung picks the shape and one of four executors:
+rung picks the shape and one of three executors (two-sided, staged, direct):
 
 - ``PAIRWISE`` — the op's ordered shape (binomial tree, serialized
   gather, ring, pairwise exchange), run two-sided: each round's legs
@@ -32,23 +32,19 @@ rung picks the shape and one of four executors:
 - ``DIRECT`` — one-sided: each send leg becomes a put into the peer's
   published receive leg via :func:`repro.mpi.rma.one_sided_move`
   (CUDA-IPC scatter kernels intra-node), fenced by barriers.
-- ``HIERARCHICAL`` — leader-per-node over the flat shape's blocks:
-  local blocks aggregate on one rank per simulated node, leaders
-  exchange one packed region per peer node, then scatter locally
-  (alltoall family only).
 
 Mixed worlds are fine for the two-sided rungs: ``STAGED`` is a local
 decision (the wire carries the same packed signature either way), so a
 host-buffer rank interoperates with a device rank that stages.
-``DIRECT``/``HIERARCHICAL`` change the message pattern and must be
-chosen world-wide (the shared ``MpiConfig`` or the same override).
+``DIRECT`` changes the message pattern and must be chosen world-wide
+(the shared ``MpiConfig`` or the same override).
 
 Tag-space layout: collective traffic lives above ``_COLL_TAG_BASE``
 (1 << 20), and every op owns a disjoint ``_COLL_OP_SPAN``-wide
 sub-space, indexed by ``_COLL_OP_INDEX``.  Within an op, the per-rank
 call sequence number (collectives are invoked in the same order on
-every rank, so local counters agree globally) selects a 4-tag phase
-block.  Before this layout, ``bcast`` seq *k* and ``gather`` seq *k*
+every rank, so local counters agree globally) selects the call's one
+tag.  Before this layout, ``bcast`` seq *k* and ``gather`` seq *k*
 produced the *same* tag, so overlapping collectives could cross-match
 fragments — see the regression tests in tests/mpi/test_collectives.py.
 
@@ -63,7 +59,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.datatype.ddt import Datatype, contiguous, struct
+from repro.datatype.ddt import Datatype, contiguous, require_datatypes, struct
 from repro.datatype.primitives import BYTE, PREDEFINED
 from repro.hw.memory import Buffer
 from repro.mpi.pml import _times
@@ -91,7 +87,6 @@ class CollAlgorithm(str, Enum):
     NONBLOCKING = "nonblocking"
     STAGED = "staged"
     DIRECT = "direct"
-    HIERARCHICAL = "hierarchical"
 
 
 # -- tag space ----------------------------------------------------------------
@@ -107,19 +102,14 @@ _COLL_OP_INDEX = {
     "alltoall": 3,
     "alltoallv": 4,
 }
-_COLL_SEQ_SLOTS = 1 << 15
-#: tags per call: slot 0 for the flat algorithms, 1..3 for the
-#: hierarchical aggregate/exchange/scatter phases
-_COLL_PHASES = 4
 
 
-def _op_tag(op: str, seq: int, phase: int = 0) -> int:
-    """The wire tag for phase ``phase`` of call ``seq`` of ``op``."""
+def _op_tag(op: str, seq: int) -> int:
+    """The wire tag of call ``seq`` of ``op``: one tag per call."""
     return (
         _COLL_TAG_BASE
         + _COLL_OP_INDEX[op] * _COLL_OP_SPAN
-        + (seq % _COLL_SEQ_SLOTS) * _COLL_PHASES
-        + phase
+        + seq % _COLL_OP_SPAN
     )
 
 
@@ -137,7 +127,7 @@ def _packed_type(sig: tuple, count: int = 1) -> Datatype:
     """A committed *contiguous-layout* datatype whose signature is
     ``count`` repetitions of ``sig``.
 
-    The staged and hierarchical paths move packed byte streams; sending
+    The staged path moves packed byte streams; sending
     them under this type keeps the PML signature check honest (packed
     send signature == original send signature) while the layout is a
     plain dense run.
@@ -171,18 +161,6 @@ def _packed_type(sig: tuple, count: int = 1) -> Datatype:
     return dtp
 
 
-def _parts_signature(parts) -> tuple:
-    """Concatenated (and run-coalesced) signature of (dt, count) parts."""
-    out: list = []
-    for dt, cnt in parts:
-        for name, c in _times(dt.signature, cnt):
-            if out and out[-1][0] == name:
-                out[-1] = (name, out[-1][1] + c)
-            else:
-                out.append((name, c))
-    return tuple(out)
-
-
 # -- selection ----------------------------------------------------------------
 
 _A2A_OPS = ("alltoall", "alltoallv")
@@ -200,9 +178,9 @@ def _resolve_algorithm(
     ``"auto"`` keeps the classic per-op defaults and, for the alltoall
     family, stages device buffers through the host when the largest
     per-peer packed block is at or below ``coll_staged_threshold`` bytes
-    and takes the nonblocking path otherwise.  It never picks DIRECT or
-    HIERARCHICAL: those change the message pattern and must be chosen
-    world-wide.  The threshold comes from the staged-vs-direct crossover
+    and takes the nonblocking path otherwise.  It never picks DIRECT:
+    that changes the message pattern and must be chosen world-wide.
+    The threshold comes from the staged-vs-direct crossover
     that bench scenario ``coll_crossover`` measures.
     """
     choice = explicit if explicit is not None else mpi.config.coll_algorithm
@@ -226,17 +204,12 @@ def _resolve_algorithm(
                 f"unknown collective algorithm {choice!r}; expected 'auto' "
                 f"or one of {[a.value for a in CollAlgorithm]}"
             ) from None
-    if algo is CollAlgorithm.HIERARCHICAL and op not in _A2A_OPS:
-        raise ValueError(
-            "CollAlgorithm.HIERARCHICAL is implemented for the alltoall "
-            f"family; {op} supports pairwise/nonblocking/staged/direct"
-        )
     return algo
 
 
 # -- schedule shapes ----------------------------------------------------------
 #
-# A block is ``(buf, dt, count)``; a leg is ``(send, peer, block, phase)``;
+# A block is ``(buf, dt, count)``; a leg is ``(send, peer, block)``;
 # a schedule is a list of non-empty rounds of legs, in post order.  Every
 # executor keeps that order, so the shapes fix what the wire sees.  Legs
 # that carry one block object carry the same bytes (an allgather's send
@@ -254,7 +227,7 @@ def _tree(rank: int, size: int, root: int, block: tuple) -> list:
     rounds = []
     if vrank:
         parent = vrank & (vrank - 1)  # clear the lowest set bit
-        rounds.append([(False, (parent + root) % size, block, 0)])
+        rounds.append([(False, (parent + root) % size, block)])
     lowest = vrank & -vrank if vrank else size
     mask = 1
     while mask * 2 < size:
@@ -262,7 +235,7 @@ def _tree(rank: int, size: int, root: int, block: tuple) -> list:
     kids = []
     while mask:
         if mask < lowest and (vrank | mask) < size:
-            kids.append((True, ((vrank | mask) + root) % size, block, 0))
+            kids.append((True, ((vrank | mask) + root) % size, block))
         mask >>= 1
     if kids:
         rounds.append(kids)
@@ -272,8 +245,8 @@ def _tree(rank: int, size: int, root: int, block: tuple) -> list:
 def _fan_out(rank: int, size: int, root: int, block: tuple) -> list:
     """Flat bcast: the root sends to every rank at once."""
     if rank != root:
-        return [[(False, root, block, 0)]]
-    legs = [(True, r, block, 0) for r in range(size) if r != root]
+        return [[(False, root, block)]]
+    legs = [(True, r, block) for r in range(size) if r != root]
     return [legs] if legs else []
 
 
@@ -286,9 +259,9 @@ def _fan_in(
     at once; ``serial`` drains its own block first, then one source per
     round."""
     if rank != root:
-        return [[(True, root, send, 0)]]
-    own = [(True, root, send, 0), (False, root, recvs[root], 0)]
-    others = [(False, s, recvs[s], 0) for s in range(size) if s != root]
+        return [[(True, root, send)]]
+    own = [(True, root, send), (False, root, recvs[root])]
+    others = [(False, s, recvs[s]) for s in range(size) if s != root]
     if serial:
         return [own] + [[leg] for leg in others]
     return [others + own]
@@ -298,12 +271,12 @@ def _flat(rank: int, size: int, sends, recvs, drop_empty: bool) -> list:
     """One round: the own block first, then an isend and an irecv per
     peer in ascending order.  ``drop_empty`` leaves out zero-byte legs
     (the own pair only when both of its legs are empty)."""
-    own = [(True, rank, sends[rank], 0), (False, rank, recvs[rank], 0)]
+    own = [(True, rank, sends[rank]), (False, rank, recvs[rank])]
     legs = []
     for peer in range(size):
         if peer != rank:
-            legs.append((True, peer, sends[peer], 0))
-            legs.append((False, peer, recvs[peer], 0))
+            legs.append((True, peer, sends[peer]))
+            legs.append((False, peer, recvs[peer]))
     if drop_empty:
         if not any(dt.size * n for _b, dt, n in (sends[rank], recvs[rank])):
             own = []
@@ -321,7 +294,7 @@ def _ordered(rank: int, size: int, sends, recvs, ring: bool) -> list:
     Ring steps may share one tag: per-source FIFO ordering matches the
     in-order posted receives.
     """
-    rounds = [[(True, rank, sends[rank], 0), (False, rank, recvs[rank], 0)]]
+    rounds = [[(True, rank, sends[rank]), (False, rank, recvs[rank])]]
     for k in range(1, size):
         if ring:
             dst, src = (rank + 1) % size, (rank - 1) % size
@@ -330,7 +303,7 @@ def _ordered(rank: int, size: int, sends, recvs, ring: bool) -> list:
             dst, src = (rank + k) % size, (rank - k) % size
             out = sends[dst]
         rounds.append(
-            [(True, dst, out, 0), (False, src, recvs[(rank - k) % size], 0)]
+            [(True, dst, out), (False, src, recvs[(rank - k) % size])]
         )
     return rounds
 
@@ -345,9 +318,9 @@ def _two_sided(mpi: "RankContext", rounds: list, op: str, seq: int):
     irecv = mpi.irecv
     for legs in rounds:
         reqs = []
-        for send, peer, block, phase in legs:
+        for send, peer, block in legs:
             post = isend if send else irecv
-            reqs.append(post(*block, peer, tag + phase))
+            reqs.append(post(*block, peer, tag))
         yield reqs[0] if len(reqs) == 1 else mpi.wait_all(*reqs)
 
 
@@ -371,7 +344,7 @@ def _staged(mpi: "RankContext", rounds: list, op: str, seq: int):
     out_total = in_total = 0
     for legs in rounds:
         received = {}
-        for send, peer, block, _ph in legs:
+        for send, peer, block in legs:
             buf, dt, count = block
             nb = dt.size * count
             if peer == rank or not nb or not buf.is_device:
@@ -407,9 +380,9 @@ def _staged(mpi: "RankContext", rounds: list, op: str, seq: int):
     if slots:
         rounds = [
             [
-                (send, peer, slots.get((send, id(block)), block), phase)
-                if peer != rank else (send, peer, block, phase)
-                for send, peer, block, phase in legs
+                (send, peer, slots.get((send, id(block)), block))
+                if peer != rank else (send, peer, block)
+                for send, peer, block in legs
             ]
             for legs in rounds
         ]
@@ -443,7 +416,7 @@ def _direct(mpi: "RankContext", rounds: list, op: str, seq: int):
     table[rank] = {leg[1]: leg[2] for leg in legs if not leg[0]}
     yield mpi.barrier()
     procs = []
-    for _s, peer, (buf, dt, count), _ph in sorted(
+    for _s, peer, (buf, dt, count) in sorted(
         (leg for leg in legs if leg[0]), key=_PEER
     ):
         tbuf, tdt, tcount = table[peer][rank]
@@ -461,120 +434,11 @@ def _direct(mpi: "RankContext", rounds: list, op: str, seq: int):
     world._coll_rendezvous.pop(key, None)
 
 
-def _hierarchical(mpi: "RankContext", rounds: list, op: str, seq: int):
-    """Leader-per-node over the flat schedule's non-empty blocks (arXiv
-    2503.24230's locality ladder).
-
-    Phase 1 (tag slot 1): every rank ships its per-destination blocks to
-    its node leader, which lands them packed in one staging region per
-    destination node.  Phase 2 (slot 2): leaders exchange exactly one
-    aggregated message per peer node — both sides derive the identical
-    region layout from the published (dt, count) table, so one packed
-    datatype describes it.  Phase 3 (slot 3): leaders scatter the
-    per-destination blocks to their local ranks.  A trailing barrier
-    closes the table.
-    """
-    world = mpi.world
-    rank = mpi.rank
-    size = mpi.size
-    local = mpi.node_ranks
-    leader = local[0]
-    tag = _op_tag(op, seq)
-    legs = sorted(
-        (leg for round_legs in rounds for leg in round_legs if leg[2][2]),
-        key=_PEER,
-    )
-    key = (op, seq)
-    table = world._coll_rendezvous.setdefault(key, {})
-    table[rank] = {leg[1]: leg[2][1:] for leg in legs if leg[0]}
-    yield mpi.barrier()
-    # phase 1: everyone (leader included, via self-sends) ships blocks up
-    reqs = [
-        mpi.isend(*block, leader, tag + 1)
-        for send, _p, block, _ph in legs if send
-    ]
-    kind = "device" if mpi.gpu is not None else "host"
-    regions: dict = {}
-    if rank == leader:
-        my_node = mpi.node_index
-        node_ids = sorted({world.node_index(r) for r in range(size)})
-        # region layouts, derived identically on every leader from the
-        # shared table: the outbound region for node n is (local
-        # source-major, destination-minor); the inbound one mirrors it
-        layout = []
-        for n in node_ids:
-            peers = world.ranks_on_node(n)
-            layout += [(("out", n), lr, d) for lr in local for d in peers]
-            if n != my_node:
-                layout += [(("in", n), s, lr) for s in peers for lr in local]
-        where: dict = {}
-        parts: dict = {}
-        fill: dict = {}
-        for region, src, dest in layout:
-            blk = table[src].get(dest)
-            nb = blk[0].size * blk[1] if blk else 0
-            if nb:
-                lo = fill.get(region, 0)
-                ptype = _packed_type(blk[0].signature, blk[1])
-                where[src, dest] = (region, lo, nb, ptype)
-                parts.setdefault(region, []).append(blk)
-                fill[region] = lo + nb
-        for region, total in fill.items():
-            regions[region] = mpi.proc.acquire_staging(kind, max(total, 256))
-
-        def slot(src: int, dest: int):
-            region, lo, nb, ptype = where[src, dest]
-            return regions[region][lo:lo + nb], ptype
-
-        # phase-1 receives: per source, blocks arrive in destination
-        # order (matching the sender's post order pairwise-FIFO)
-        for lr in local:
-            for d in range(size):
-                if (lr, d) in where:
-                    sbuf, ptype = slot(lr, d)
-                    reqs.append(mpi.irecv(sbuf, ptype, 1, lr, tag + 1))
-        yield mpi.wait_all(*reqs)
-        # phase 2: one aggregated message per peer node, between leaders
-        reqs = []
-        for n in node_ids:
-            if n == my_node:
-                continue
-            peer = world.ranks_on_node(n)[0]
-            posts = (("out", n), mpi.isend), (("in", n), mpi.irecv)
-            for region, post in posts:
-                if region in fill:
-                    total = fill[region]
-                    rtype = _packed_type(_parts_signature(parts[region]))
-                    reqs.append(
-                        post(regions[region][:total], rtype, 1, peer, tag + 2)
-                    )
-        if reqs:
-            yield mpi.wait_all(*reqs)
-        # phase 3: scatter each (source, local destination) block down
-        reqs = []
-        for lr in local:
-            for s in range(size):
-                if (s, lr) in where:
-                    sbuf, ptype = slot(s, lr)
-                    reqs.append(mpi.isend(sbuf, ptype, 1, lr, tag + 3))
-    # every rank receives its final blocks from its leader
-    for send, _p, block, _ph in legs:
-        if not send:
-            reqs.append(mpi.irecv(*block, leader, tag + 3))
-    if reqs:
-        yield mpi.wait_all(*reqs)
-    yield mpi.barrier()
-    world._coll_rendezvous.pop(key, None)
-    for region in regions.values():
-        mpi.proc.release_staging(kind, region)
-
-
 _EXECUTORS = {
     CollAlgorithm.PAIRWISE: _two_sided,
     CollAlgorithm.NONBLOCKING: _two_sided,
     CollAlgorithm.STAGED: _staged,
     CollAlgorithm.DIRECT: _direct,
-    CollAlgorithm.HIERARCHICAL: _hierarchical,
 }
 
 
@@ -635,7 +499,17 @@ def bcast(
     moved per rank (``dt.size * count``), uniformly for every world size
     — including 1, so bench sweeps need no special case.
     """
-    dt.commit()
+    try:
+        dt.commit()
+    except AttributeError:
+        require_datatypes("bcast", dt=dt)
+        raise
+    if not 0 <= root < mpi.size:
+        raise ValueError(
+            f"bcast: root={root} is not a rank of this {mpi.size}-rank world"
+        )
+    if count < 0:
+        raise ValueError(f"bcast: count={count} is negative")
     nbytes = dt.size * count
     block = (buf, dt, count)
 
@@ -667,7 +541,17 @@ def gather(
     Coroutine: ``yield from gather(...)``.  Returns the bytes moved per
     rank (``send_dt.size * send_count``).
     """
-    send_dt.commit()
+    try:
+        send_dt.commit()
+    except AttributeError:
+        require_datatypes("gather", send_dt=send_dt)
+        raise
+    if not 0 <= root < mpi.size:
+        raise ValueError(
+            f"gather: root={root} is not a rank of this {mpi.size}-rank world"
+        )
+    if send_count < 0:
+        raise ValueError(f"gather: send_count={send_count} is negative")
     nbytes = send_dt.size * send_count
     recvs = None
     if mpi.rank == root:
@@ -685,7 +569,11 @@ def gather(
                 f"gather: root needs one recv buffer per rank "
                 f"({mpi.size}), got {len(recvbufs)}"
             )
-        recv_dt.commit()
+        try:
+            recv_dt.commit()
+        except AttributeError:
+            require_datatypes("gather", recv_dt=recv_dt)
+            raise
         recvs = [(b, recv_dt, recv_count) for b in recvbufs]
     send = (sendbuf, send_dt, send_count)
 
@@ -715,13 +603,22 @@ def allgather(
     Coroutine: ``yield from allgather(...)``.  Returns the bytes moved
     per rank (``send_dt.size * send_count * size``).
     """
-    send_dt.commit()
-    recv_dt.commit()
+    try:
+        send_dt.commit()
+        recv_dt.commit()
+    except AttributeError:
+        require_datatypes("allgather", send_dt=send_dt, recv_dt=recv_dt)
+        raise
     size = mpi.size
     if len(recvbufs) != size:
         raise ValueError(
             f"allgather: one recv buffer per rank ({size}) is "
             f"required, got {len(recvbufs)}"
+        )
+    if send_count < 0 or recv_count < 0:
+        raise ValueError(
+            f"allgather: counts must be >= 0, got send_count={send_count}, "
+            f"recv_count={recv_count}"
         )
     nbytes = send_dt.size * send_count
     # one block object for every peer: the staged rung packs it once
@@ -795,8 +692,12 @@ def _alltoall_common(
     The staged rung leaves zero-byte blocks off the wire entirely.
     """
     size = mpi.size
-    send_dt.commit()
-    recv_dt.commit()
+    try:
+        send_dt.commit()
+        recv_dt.commit()
+    except AttributeError:
+        require_datatypes(op, send_dt=send_dt, recv_dt=recv_dt)
+        raise
     if len(sendbufs) != size or len(recvbufs) != size:
         raise ValueError(
             f"{op}: one send and one recv buffer per rank ({size}) is "

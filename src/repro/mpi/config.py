@@ -82,13 +82,12 @@ class MpiConfig:
     rdma_mode: str = "get"
 
     #: collective algorithm selection (docs/COLLECTIVES.md): one of
-    #: "auto", "pairwise", "nonblocking", "staged", "direct",
-    #: "hierarchical".  "auto" keeps the classic per-op defaults
-    #: (binomial bcast, linear gather, ring allgather) and picks
-    #: staged-vs-nonblocking for the alltoall family by message size;
-    #: it never picks direct or hierarchical, which must be chosen
-    #: world-wide.  Every collective also accepts an explicit per-call
-    #: override
+    #: "auto", "pairwise", "nonblocking", "staged", "direct".  "auto"
+    #: keeps the classic per-op defaults (binomial bcast, linear
+    #: gather, ring allgather) and picks staged-vs-nonblocking for the
+    #: alltoall family by message size; it never picks direct, which
+    #: must be chosen world-wide.  Every collective also accepts an
+    #: explicit per-call override
     coll_algorithm: str = "auto"
     #: per-peer packed bytes at or below which "auto" routes a device
     #: alltoall-family call through the copy-to-host staged path; above
@@ -139,14 +138,12 @@ class MpiConfig:
             )
         if self.coll_algorithm not in (
             "auto", "pairwise", "nonblocking", "staged", "direct",
-            "hierarchical",
         ):
             # collectives resolve this per call; a typo here would only
             # surface deep inside the first collective of a run
             raise ValueError(
                 "coll_algorithm must be one of 'auto', 'pairwise', "
-                "'nonblocking', 'staged', 'direct', 'hierarchical', "
-                f"got {self.coll_algorithm!r}"
+                f"'nonblocking', 'staged', 'direct', got {self.coll_algorithm!r}"
             )
         if self.coll_staged_threshold < 0:
             raise ValueError(

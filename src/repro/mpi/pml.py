@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.cuda.ipc import IpcMemHandle
-from repro.datatype.ddt import Datatype
+from repro.datatype.ddt import Datatype, require_datatypes
 from repro.hw.memory import Buffer
 from repro.mpi.bml import btl_for
 from repro.mpi.matching import PostedRecv
@@ -126,7 +126,11 @@ def isend(
     Eager sends complete at the RTS's delivery, rendezvous sends after
     the chosen pipeline's last acknowledgement.
     """
-    dt.commit()
+    try:
+        dt.commit()
+    except AttributeError:
+        require_datatypes("isend", datatype=dt)
+        raise
     total = dt.size * count
     if total > proc.config.eager_limit:
         return proc.sim.spawn(
@@ -167,7 +171,11 @@ def irecv(
     An eager arrival unpacks in the chain; a rendezvous RTS hands the
     rest of the receive to the rendezvous coroutine.
     """
-    dt.commit()
+    try:
+        dt.commit()
+    except AttributeError:
+        require_datatypes("irecv", datatype=dt)
+        raise
     op = _EagerRecv()
     op.world = world
     op.proc = proc

@@ -92,13 +92,11 @@ class MpiWorld:
         self.cluster = cluster
         self.sim = cluster.sim
         self.config = config or MpiConfig()
-        #: rank -> (node index, gpu index or None); the node-locality
-        #: queries below (and the hierarchical collectives built on
-        #: them) read this, so the world keeps its placement map
+        #: rank -> (node index, gpu index or None); each process is
+        #: built from its entry on first use
         self.placements: tuple[tuple[int, Optional[int]], ...] = tuple(
             (n, g) for n, g in placements
         )
-        self._node_ranks: dict[int, list[int]] = {}
         nodes = cluster.nodes
         for rank, (node_i, gpu_i) in enumerate(self.placements):
             if not 0 <= node_i < len(nodes):
@@ -111,7 +109,6 @@ class MpiWorld:
                     f"MpiWorld: placements[{rank}] gpu={gpu_i} is not a GPU "
                     f"of node {node_i}, which has {len(nodes[node_i].gpus)}"
                 )
-            self._node_ranks.setdefault(node_i, []).append(rank)
         #: scratch tables collectives use to exchange per-call metadata
         #: out-of-band (keyed by (op, seq); see repro.mpi.collectives)
         self._coll_rendezvous: dict = {}
@@ -187,24 +184,6 @@ class MpiWorld:
     def context(self, rank: int) -> "RankContext":
         """The :class:`RankContext` API handle for one rank."""
         return RankContext(self, self.procs[rank])
-
-    # -- node locality ---------------------------------------------------------
-    def node_index(self, rank: int) -> int:
-        """The cluster node index ``rank`` is placed on."""
-        return self.placements[rank][0]
-
-    @property
-    def num_nodes(self) -> int:
-        """How many distinct cluster nodes hold at least one rank."""
-        return len(self._node_ranks)
-
-    def ranks_on_node(self, node_i: int) -> list[int]:
-        """All ranks placed on node ``node_i``, in rank order."""
-        return list(self._node_ranks.get(node_i, ()))
-
-    def node_leader(self, rank: int) -> int:
-        """The lowest rank on ``rank``'s node (the hierarchical leader)."""
-        return self._node_ranks[self.node_index(rank)][0]
 
     # -- running programs ------------------------------------------------------
     def run(
@@ -418,27 +397,6 @@ class RankContext:
         self.cuda = proc.ctx
         self.sim = proc.sim
         self.config = proc.config
-
-    # -- node locality ---------------------------------------------------------
-    @property
-    def node_index(self) -> int:
-        """Cluster node index this rank is placed on."""
-        return self.world.node_index(self.rank)
-
-    @property
-    def node_ranks(self) -> list[int]:
-        """All ranks sharing this rank's node, in rank order."""
-        return self.world.ranks_on_node(self.node_index)
-
-    @property
-    def node_leader(self) -> int:
-        """Lowest rank on this node (hierarchical-collective leader)."""
-        return self.world.node_leader(self.rank)
-
-    @property
-    def is_node_leader(self) -> bool:
-        """True when this rank is its node's leader."""
-        return self.node_leader == self.rank
 
     # -- memory helpers ------------------------------------------------------
     def device_alloc(self, nbytes: int, label: str = "") -> Buffer:

@@ -28,8 +28,8 @@ fragments), the three ``smoke-*`` environments of
 :mod:`repro.bench.smoke` (ipc_rdma / copyinout / host), and
 ``coll_crossover`` (alltoall over a 2x2 world on both sides of the
 staged/direct crossover), ``coll_ladder`` (every collective executor:
-bcast, gather and allgather under four rungs and a ragged alltoallv
-under all five) and ``traffic`` (a multi-tenant replay over copy-in/out
+bcast, gather, allgather and a ragged alltoallv under all four rungs)
+and ``traffic`` (a multi-tenant replay over copy-in/out
 and the gather plan).
 """
 
@@ -292,7 +292,8 @@ def _coll_ladder_scenario(sim: Simulator) -> str:
 
     bcast (root 1), gather (root 2) and allgather run under the
     pairwise, nonblocking, staged and direct rungs, then an alltoallv
-    with counts ``(s + d) % 3`` (zero blocks included) under all five.
+    with counts ``(s + d) % 3`` (zero blocks included) under the same
+    four.
     Every block is a lower-triangular type and every call lands in its
     own receive buffers; the digest covers all received bytes.
     """
@@ -316,7 +317,6 @@ def _coll_ladder_scenario(sim: Simulator) -> str:
     dt = lower_triangular_type(12)
     rng = np.random.default_rng(17)
     rungs = list(CollAlgorithm)
-    two_sided = [a for a in rungs if a is not CollAlgorithm.HIERARCHICAL]
     counts = [[(s + d) % 3 for d in range(size)] for s in range(size)]
 
     def alloc(r, n=1, fill=False):
@@ -335,7 +335,7 @@ def _coll_ladder_scenario(sim: Simulator) -> str:
     # received: (buffer, count) per call, in digest order
     got: list = []
     bufs: dict = {}
-    for algo in two_sided:
+    for algo in rungs:
         for r in range(size):
             b = bufs["bcast", algo, r] = alloc(r, fill=r == 1)
             got.append((b, 1))
@@ -355,7 +355,7 @@ def _coll_ladder_scenario(sim: Simulator) -> str:
 
     def program(rank):
         def run(mpi):
-            for algo in two_sided:
+            for algo in rungs:
                 yield from bcast(
                     mpi, bufs["bcast", algo, rank], dt, 1, root=1,
                     algorithm=algo,
@@ -427,8 +427,8 @@ SCENARIOS: dict[str, Callable[[Simulator], str]] = {
     ),
     # collective crossover: staged + direct alltoall on a 2x2 world
     "coll_crossover": _coll_scenario,
-    # every collective executor: bcast/gather/allgather x 4 rungs,
-    # alltoallv x 5 rungs on a 2x2 world
+    # every collective executor: bcast/gather/allgather/alltoallv x 4
+    # rungs on a 2x2 world
     "coll_ladder": _coll_ladder_scenario,
     # multi-tenant traffic replay: copy-in/out, small frags, gather plan
     "traffic": _traffic_scenario,

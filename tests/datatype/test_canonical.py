@@ -3,7 +3,8 @@
 The contract under test: any two ways of building the same logical
 layout canonicalize to the same key (so caches actually hit across
 constructions), and every pack plan the cost model can select moves
-exactly the same bytes as the legacy stack machine.
+exactly the same bytes as the frozen stack machine oracle
+(``reference_stack.py``) and the typemap walk (``reference_pack``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
-    PLAN_STACK,
     PLAN_STRIDED2D,
     PLAN_VECTOR_KERNEL,
     canonical_key,
@@ -39,6 +39,7 @@ from repro.datatype.ddt import (
 )
 from repro.datatype.primitives import BYTE, DOUBLE, INT
 
+from .reference_stack import StackMachine, compile_datatype
 from .strategies import buffer_for, datatypes, reference_pack
 
 S = 4096
@@ -143,7 +144,7 @@ class TestPlanSelection:
     def test_vector_misaligned_for_unit_falls_back(self):
         # 12-byte blocks cannot be walked in 8-byte elements
         form = canonicalize(hvector(8, 12, 24, BYTE))
-        assert select_cpu_plan(form, 8) in (PLAN_GATHER, PLAN_STACK)
+        assert select_cpu_plan(form, 8) == PLAN_GATHER
 
     def test_irregular_is_gather(self):
         form = canonicalize(indexed([1, 2, 1], [0, 3, 9], DOUBLE))
@@ -151,9 +152,15 @@ class TestPlanSelection:
         assert select_cpu_plan(form, 8) == PLAN_GATHER
         assert select_gpu_plan(form) == PLAN_GATHER
 
-    def test_misaligned_base_forces_stack(self):
-        form = canonicalize(contiguous(32, DOUBLE))
-        assert select_cpu_plan(form, 8, base_offset=4) == PLAN_STACK
+    def test_misaligned_base_binds_byte_gather(self):
+        dt = contiguous(32, DOUBLE).commit()
+        assert stream_plan(dt, 1).cpu_plan == PLAN_MEMCPY
+        user = np.arange(4 + dt.size, dtype=np.uint8)
+        conv = Convertor(dt, 1, user, "pack", base_offset=4)
+        assert conv.plan == PLAN_GATHER
+        out = np.empty(dt.size, dtype=np.uint8)
+        conv.pack(out)
+        assert np.array_equal(out, user[4:])
 
     def test_force_dev_pins_gather(self):
         form = canonicalize(vector(8, 4, 6, DOUBLE))
@@ -163,8 +170,8 @@ class TestPlanSelection:
         form = canonicalize(contiguous(32, DOUBLE))
         assert (
             plan_cost(form, PLAN_MEMCPY)
+            < plan_cost(form, PLAN_STRIDED2D)
             < plan_cost(form, PLAN_GATHER)
-            < plan_cost(form, PLAN_STACK)
         )
 
 
@@ -190,13 +197,8 @@ class TestPlanEquivalence:
         packed = pack_bytes(dt, count, user)
         assert np.array_equal(packed, oracle)
 
-        # the legacy convertor: force the stack machine on the same input
-        conv = Convertor(dt, count, user, "pack")
-        conv._fallback()
-        assert conv.plan == PLAN_STACK
-        out = np.empty(conv.total_bytes, dtype=np.uint8)
-        conv.pack(out)
-        assert np.array_equal(out, oracle)
+        # the stack machine, compiled from the constructor tree
+        assert np.array_equal(self.stack_pack(dt, count, user), oracle)
 
         # unpack roundtrip restores the layout bytes
         blank = np.zeros_like(user)
@@ -218,18 +220,16 @@ class TestPlanEquivalence:
 
     @staticmethod
     def stack_pack(dt, count, user, base_offset=0):
-        conv = Convertor(dt, count, user, "pack", base_offset)
-        conv._fallback()
-        out = np.empty(conv.total_bytes, dtype=np.uint8)
-        conv.pack(out)
+        out = np.empty(dt.size * count, dtype=np.uint8)
+        prog = compile_datatype(dt, count)
+        StackMachine(prog, user, "pack", base_offset).advance(out)
         return out
 
     @staticmethod
     def stack_unpack(dt, count, packed, size, base_offset=0):
         user = np.zeros(size, dtype=np.uint8)
-        conv = Convertor(dt, count, user, "unpack", base_offset)
-        conv._fallback()
-        conv.unpack(packed)
+        prog = compile_datatype(dt, count)
+        StackMachine(prog, user, "unpack", base_offset).advance(packed)
         return user
 
     def check_plan(self, dt, count, user, plan, base_offset=0):
@@ -289,10 +289,7 @@ class TestPlanEquivalence:
         conv = Convertor(dt, 1, back, "unpack")
         assert conv.plan == PLAN_GATHER
         conv.unpack_range(want[:48], 0, 48)
-        ref = np.zeros_like(user)
-        stack = Convertor(dt, 1, ref, "unpack")
-        stack._fallback()
-        stack.unpack(want[:48])
+        ref = self.stack_unpack(dt, 1, want[:48], len(user))
         assert np.array_equal(back, ref)
 
     @given(
@@ -323,6 +320,61 @@ class TestPlanEquivalence:
         assert np.array_equal(
             back, self.stack_unpack(dt, count, want, len(user))
         )
+
+    @given(
+        dt=datatypes(),
+        count=st.integers(1, 3),
+        base=st.integers(0, 15),
+        cuts=st.lists(st.integers(0, 1 << 16), max_size=8),
+        data=st.randoms(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_base_and_cut_match_both_oracles(
+        self, dt, count, base, cuts, data
+    ):
+        """At any base offset, streaming cuts anywhere (off the unit too)
+        and unit-aligned ranges in shuffled order pack and unpack exactly
+        the bytes of both oracles."""
+        rng = np.random.default_rng(data.randint(0, 2**31))
+        user = np.concatenate([
+            rng.integers(0, 255, base, dtype=np.uint8),
+            buffer_for(dt, count, rng),
+        ])
+        want = reference_pack(dt, count, user[base:])
+        assert np.array_equal(self.stack_pack(dt, count, user, base), want)
+        total, u = len(want), stream_plan(dt, count).unit
+        cut = sorted({0, total, *(c % (total + 1) for c in cuts)})
+        stream = list(zip(cut[:-1], cut[1:]))
+        cut = sorted({0, total, *(c % (total + 1) // u * u for c in cuts)})
+        ranges = list(zip(cut[:-1], cut[1:])) + [(total, total)]
+        data.shuffle(ranges)
+        conv = Convertor(dt, count, user, "pack", base)
+        for lo, hi in stream:
+            out = np.empty(hi - lo, dtype=np.uint8)
+            assert conv.pack(out) == hi - lo
+            assert np.array_equal(out, want[lo:hi]), (conv.plan, lo, hi)
+        conv = Convertor(dt, count, user, "pack", base)
+        for lo, hi in ranges:
+            out = np.empty(hi - lo, dtype=np.uint8)
+            conv.pack_range(out, lo, hi)
+            assert np.array_equal(out, want[lo:hi]), (conv.plan, lo, hi)
+        # unpacked: the stream where the typemap says, zeros elsewhere
+        ref = self.stack_unpack(dt, count, want, len(user), base)
+        assert np.array_equal(reference_pack(dt, count, ref[base:]), want)
+        mask = np.zeros(len(user), dtype=bool)
+        for d, n in dt.spans_for_count(count).iter_pairs():
+            mask[base + d : base + d + n] = True
+        assert not ref[~mask].any()
+        back = np.zeros_like(user)
+        conv = Convertor(dt, count, back, "unpack", base)
+        for lo, hi in stream:
+            assert conv.unpack(want[lo:hi]) == hi - lo
+        assert np.array_equal(back, ref)
+        back = np.zeros_like(user)
+        conv = Convertor(dt, count, back, "unpack", base)
+        for lo, hi in ranges:
+            conv.unpack_range(want[lo:hi], lo, hi)
+        assert np.array_equal(back, ref)
 
 
 class TestDevCacheReuse:

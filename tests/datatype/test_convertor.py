@@ -45,7 +45,8 @@ class TestStreamingApi:
             chunks.append(buf[:n])
         assert np.array_equal(np.concatenate(chunks), want)
 
-    def test_misaligned_chunks_fall_back_to_stack(self, rng):
+    def test_misaligned_chunks_move_bytewise(self, rng):
+        """Cuts off the 8-byte unit run those ranges through the byte gather."""
         dt = vector(8, 4, 9, DOUBLE).commit()
         user = rng.integers(0, 255, dt.extent, dtype=np.uint8)
         want = pack_bytes(dt, 1, user)

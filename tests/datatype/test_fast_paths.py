@@ -4,7 +4,7 @@ Two fast paths must be observationally identical to their references:
 
 * the convertor's strided 2-D executor (``_strided``) over any 2-D
   lattice — a uniform vector or a lattice of one-unit runs such as a
-  transpose — vs the gather path and the stack machine;
+  transpose — vs the gather path and the frozen stack machine oracle;
 * the hindexed gap-free-base vectorized span build vs the generic
   per-block tile/shift/coalesce loop.
 """
@@ -28,6 +28,7 @@ from repro.datatype.ddt import contiguous, hindexed, indexed, resized, vector
 from repro.datatype.primitives import DOUBLE
 from repro.datatype.typemap import Spans, coalesce, concat, tile
 from repro.workloads.matrices import transpose_type
+from tests.datatype.reference_stack import StackMachine, compile_datatype
 from tests.datatype.strategies import buffer_for, reference_pack
 
 #: committed Datatype equivalent of the DOUBLE primitive, for the
@@ -179,8 +180,6 @@ def _convertor(dt, count, user, direction, base, executor=None):
     conv = Convertor(dt, count, user, direction, base)
     if executor == "gather":
         conv._exec = Convertor._gather
-    elif executor == "stack":
-        conv._fallback()
     return conv
 
 
@@ -232,7 +231,8 @@ class TestLatticeFastPath:
             assert (sp.lattice is None) == overlaps
             assert (sp.cpu_plan == PLAN_STRIDED2D) != overlaps
         want = np.empty(total, dtype=np.uint8)
-        _convertor(dt, count, full, "pack", base, "stack").pack(want)
+        prog = compile_datatype(dt, count)
+        StackMachine(prog, full, "pack", base).advance(want)
         cuts = data.draw(st.lists(st.integers(0, total // u), max_size=6))
         bounds = sorted({0, total, *(c * u for c in cuts)})
         frags = list(zip(bounds[:-1], bounds[1:]))
@@ -257,7 +257,7 @@ class TestLatticeFastPath:
         if short or overlaps:
             return  # which duplicate an unpack keeps is the gather's choice
         stack = np.zeros_like(full)
-        _convertor(dt, count, stack, "unpack", base, "stack").unpack(want)
+        StackMachine(prog, stack, "unpack", base).advance(want)
         for executor in (None, "gather"):
             back = np.zeros_like(full)
             conv = _convertor(dt, count, back, "unpack", base, executor)

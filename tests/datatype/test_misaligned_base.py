@@ -2,9 +2,10 @@
 
 Pre-fix, a ``base_offset`` that was not a multiple of the primitive unit
 silently used the *unadjusted* gather index — random access returned
-bytes from the wrong user offsets.  The fix routes misaligned bases
-through a dedicated stack machine that tracks stream position, rebuilds
-on rewind (pack), and refuses out-of-order delivery on unpack.
+bytes from the wrong user offsets.  A misaligned base now binds the
+gather at byte granularity: the unit map expanded to bytes and shifted
+by the base, random-access in both directions, so fragments may arrive
+in any order.  The frozen stack machine is the oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from repro.datatype.convertor import Convertor
 from repro.datatype.ddt import vector
 from repro.datatype.primitives import DOUBLE
+from tests.datatype.reference_stack import StackMachine, compile_datatype
 
 
 @pytest.fixture
@@ -23,9 +25,9 @@ def dt():
 
 
 def _oracle(dt, user, off):
-    """Full sequential pack via the (already correct) stack-machine path."""
+    """Full sequential pack by the frozen stack machine."""
     want = np.empty(dt.size, dtype=np.uint8)
-    Convertor(dt, 1, user, "pack", base_offset=off).pack(want)
+    StackMachine(compile_datatype(dt), user, "pack", off).advance(want)
     return want
 
 
@@ -68,14 +70,17 @@ def test_unpack_range_misaligned_base_round_trips(rng, dt):
     assert np.array_equal(_oracle(dt, target, off), want)
 
 
-def test_unpack_range_misaligned_rejects_out_of_order(rng, dt):
+def test_unpack_range_misaligned_out_of_order_round_trips(rng, dt):
+    user = rng.integers(0, 255, dt.extent + 16, dtype=np.uint8)
+    want = _oracle(dt, user, 3)
+    ref = np.zeros(dt.extent + 16, dtype=np.uint8)
+    StackMachine(compile_datatype(dt), ref, "unpack", 3).advance(want)
+    # skip-ahead: fragment 64..128 before 0..64, then a rewind over
+    # bytes already delivered, then the rest
     target = np.zeros(dt.extent + 16, dtype=np.uint8)
     conv = Convertor(dt, 1, target, "unpack", base_offset=3)
-    # skip-ahead: fragment 64..128 before 0..64
-    with pytest.raises(RuntimeError):
-        conv.unpack_range(np.zeros(64, np.uint8), 64, 128)
-    # rewind after a delivered range is equally rejected
-    conv2 = Convertor(dt, 1, target, "unpack", base_offset=3)
-    conv2.unpack_range(np.zeros(64, np.uint8), 0, 64)
-    with pytest.raises(RuntimeError):
-        conv2.unpack_range(np.zeros(32, np.uint8), 32, 64)
+    conv.unpack_range(want[64:128], 64, 128)
+    conv.unpack_range(want[0:64], 0, 64)
+    conv.unpack_range(want[32:64], 32, 64)
+    conv.unpack_range(want[128:256], 128, 256)
+    assert np.array_equal(target, ref)

@@ -1,4 +1,4 @@
-"""Tests for the stack-based convertor (the Open MPI state machine)."""
+"""Tests for the frozen stack machine oracle (the Open MPI state machine)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.datatype.convertor import pack_bytes
 from repro.datatype.ddt import contiguous, hindexed, struct, vector
 from repro.datatype.primitives import DOUBLE, INT
-from repro.datatype.stack import (
+from tests.datatype.reference_stack import (
     ElemDesc,
     LoopDesc,
     StackMachine,

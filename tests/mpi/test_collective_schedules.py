@@ -1,10 +1,10 @@
 """Well-formedness of the collective schedules, without a simulator.
 
 Every shape in :mod:`repro.mpi.collectives` compiles one call into a
-per-rank list of rounds of legs ``(send, peer, (buf, dt, count), phase)``.
+per-rank list of rounds of legs ``(send, peer, (buf, dt, count))``.
 Across all ranks of a world, a schedule must
 
-* pair up: each (src, dst, phase) has as many send legs as receive legs,
+* pair up: each (src, dst) has as many send legs as receive legs,
   and the k-th send matches the k-th receive (MPI's non-overtaking
   order) with equal bytes;
 * drain under strict rendezvous: a leg completes only once its peer has
@@ -89,16 +89,16 @@ CASES = list(_cases())
 
 
 def _channels(schedules):
-    """Send and receive legs per (src, dst, phase), each in post order."""
+    """Send and receive legs per (src, dst), each in post order."""
     sends: dict = {}
     recvs: dict = {}
     for rank, rounds in enumerate(schedules):
         for r, legs in enumerate(rounds):
-            for i, (send, peer, (_buf, dt, count), phase) in enumerate(legs):
+            for i, (send, peer, (_buf, dt, count)) in enumerate(legs):
                 if send:
-                    key, table = (rank, peer, phase), sends
+                    key, table = (rank, peer), sends
                 else:
-                    key, table = (peer, rank, phase), recvs
+                    key, table = (peer, rank), recvs
                 table.setdefault(key, []).append(((rank, r, i), dt.size * count))
     return sends, recvs
 
@@ -149,8 +149,8 @@ def test_drain_check_catches_a_head_to_head_wait():
     """Two ranks that each wait for their own send before receiving
     never drain — proof the rendezvous check can fail."""
     legs = [
-        [[(True, 1, _block("a"), 0)], [(False, 1, _block("a"), 0)]],
-        [[(True, 0, _block("b"), 0)], [(False, 0, _block("b"), 0)]],
+        [[(True, 1, _block("a"))], [(False, 1, _block("a"))]],
+        [[(True, 0, _block("b"))], [(False, 0, _block("b"))]],
     ]
     sends, recvs = _channels(legs)
     assert not _drains(legs, sends, recvs)

@@ -154,13 +154,12 @@ class TestTagSpaces:
     def test_all_op_subspaces_disjoint(self):
         seen: dict[int, tuple] = {}
         for op in _COLL_OP_INDEX:
-            for seq in (0, 1, 7, 1000, (1 << 15) - 1):
-                for phase in range(4):
-                    tag = _op_tag(op, seq, phase)
-                    lo = _COLL_TAG_BASE + _COLL_OP_INDEX[op] * _COLL_OP_SPAN
-                    assert lo <= tag < lo + _COLL_OP_SPAN
-                    assert tag not in seen, (op, seq, phase, seen[tag])
-                    seen[tag] = (op, seq, phase)
+            for seq in (0, 1, 7, 1000, _COLL_OP_SPAN - 1):
+                tag = _op_tag(op, seq)
+                lo = _COLL_TAG_BASE + _COLL_OP_INDEX[op] * _COLL_OP_SPAN
+                assert lo <= tag < lo + _COLL_OP_SPAN
+                assert tag not in seen, (op, seq, seen[tag])
+                seen[tag] = (op, seq)
 
     def test_interleaved_collective_types(self, rng):
         """Two different collectives back-to-back under AM delays.
@@ -265,6 +264,82 @@ class TestGatherValidation:
             world.run({r: program(r) for r in range(3)})
 
 
+class TestBadArguments:
+    """A bad root, count or datatype fails at the call on every rank,
+    naming the call and the argument, before anything is posted."""
+
+    def world2(self):
+        world = gpu_world(2)
+        dt = contiguous(8, DOUBLE).commit()
+        return world, dt, [world.procs[r].ctx.malloc(dt.size) for r in range(2)]
+
+    @pytest.mark.parametrize("root", [5, -1, 2])
+    def test_bcast_root_outside_the_world(self, root):
+        """``root=5`` and ``root=-1`` used to complete and move nothing."""
+        world, dt, bufs = self.world2()
+        for r in range(2):
+            with pytest.raises(ValueError, match=f"bcast: root={root} "):
+                bcast(world.context(r), bufs[r], dt, 1, root=root)
+        assert world.sim.events_processed == 0
+
+    def test_gather_root_outside_the_world(self):
+        """``root=7`` used to fail inside isend as "dest=7 is not a
+        rank"."""
+        world, dt, bufs = self.world2()
+        for r in range(2):
+            with pytest.raises(ValueError, match="gather: root=7 "):
+                gather(world.context(r), bufs[r], dt, 1, None, None, root=7)
+        assert world.sim.events_processed == 0
+
+    @pytest.mark.parametrize("call, match", [
+        ("bcast", "bcast: count=-4 "),
+        ("gather", "gather: send_count=-4 "),
+        ("allgather send", "allgather: counts must be >= 0, got send_count=-4"),
+        ("allgather recv", "allgather: counts must be >= 0, .* recv_count=-4"),
+    ], ids=["bcast", "gather", "allgather-send", "allgather-recv"])
+    def test_negative_count(self, call, match):
+        """``bcast(count=-4)`` used to fail in a metrics counter as
+        "negative increment -4"."""
+        world, dt, bufs = self.world2()
+        mpi = world.context(0)
+        calls = {
+            "bcast": lambda: bcast(mpi, bufs[0], dt, -4),
+            "gather": lambda: gather(mpi, bufs[0], dt, -4, bufs, dt, 1),
+            "allgather send": lambda: allgather(mpi, bufs[0], dt, -4, bufs, dt, 1),
+            "allgather recv": lambda: allgather(mpi, bufs[0], dt, 1, bufs, dt, -4),
+        }
+        with pytest.raises(ValueError, match=match):
+            calls[call]()
+
+    @pytest.mark.parametrize("call, arg", [
+        ("bcast", "dt"),
+        ("gather", "send_dt"),
+        ("gather", "recv_dt"),
+        ("allgather", "send_dt"),
+        ("allgather", "recv_dt"),
+        ("alltoall", "send_dt"),
+        ("alltoallv", "recv_dt"),
+    ])
+    def test_primitive_datatype(self, call, arg):
+        """A primitive used to fail as ``AttributeError: 'Primitive'
+        object has no attribute 'commit'``."""
+        world, dt, bufs = self.world2()
+        mpi = world.context(0)
+        send = BYTE if arg in ("dt", "send_dt") else dt
+        recv = BYTE if arg == "recv_dt" else dt
+        calls = {
+            "bcast": lambda: bcast(mpi, bufs[0], send, 64),
+            "gather": lambda: gather(mpi, bufs[0], send, 1, bufs, recv, 1),
+            "allgather": lambda: allgather(mpi, bufs[0], send, 1, bufs, recv, 1),
+            "alltoall": lambda: alltoall(mpi, bufs, send, 1, bufs, recv, 1),
+            "alltoallv": lambda: alltoallv(
+                mpi, bufs, send, [1, 1], bufs, recv, [1, 1]
+            ),
+        }
+        with pytest.raises(TypeError, match=f"{call}: {arg}=MPI_BYTE "):
+            calls[call]()
+
+
 class TestAllgather:
     def test_ring_allgather(self, rng):
         n_ranks = 4
@@ -363,23 +438,6 @@ class TestAlltoall:
 
         world.run({r: program(r) for r in range(size)})
         assert world.stats().coll_ops.get("alltoall.staged") == size
-
-    def test_hierarchical_rejected_for_bcast(self):
-        world = gpu_world(2)
-        dt = contiguous(8, DOUBLE).commit()
-        bufs = [world.procs[r].ctx.malloc(dt.size) for r in range(2)]
-        bufs[0].fill(3)
-
-        def program(rank):
-            def run(mpi):
-                yield from bcast(
-                    mpi, bufs[rank], dt, 1,
-                    algorithm=CollAlgorithm.HIERARCHICAL,
-                )
-            return run
-
-        with pytest.raises(ValueError, match="alltoall"):
-            world.run({r: program(r) for r in range(2)})
 
     def test_unknown_algorithm_rejected(self):
         world = gpu_world(2)

@@ -33,16 +33,11 @@ from repro.mpi.world import MpiWorld
 from repro.workloads.matrices import lower_triangular_type
 from tests.datatype.strategies import datatypes
 
-TWO_SIDED = [
-    CollAlgorithm.PAIRWISE,
-    CollAlgorithm.NONBLOCKING,
-    CollAlgorithm.STAGED,
-    CollAlgorithm.DIRECT,
-]
-A2A_ALGOS = TWO_SIDED + [CollAlgorithm.HIERARCHICAL]
+#: every rung of the ladder; each op runs under all of them
+RUNGS = list(CollAlgorithm)
 
 #: 1 and 2 are the degenerate worlds; 3 and 5 are non-powers-of-two
-#: (ragged last node for the hierarchical path); 8 is two full nodes
+#: (a ragged last node); 8 is two full nodes
 WORLD_SIZES = [1, 2, 3, 5, 8]
 
 
@@ -73,7 +68,7 @@ def fill_random(buf, rng) -> None:
 class TestAlltoallvOracle:
     """alltoallv: ragged counts (zeros included), triangular datatype."""
 
-    @pytest.mark.parametrize("algo", A2A_ALGOS)
+    @pytest.mark.parametrize("algo", RUNGS)
     @pytest.mark.parametrize("n_ranks", WORLD_SIZES)
     def test_matches_oracle(self, algo, n_ranks):
         world = build_world(n_ranks)
@@ -135,7 +130,7 @@ class TestFlatOpsOracle:
         T = lower_triangular_type(10)
         return world, T, np.random.default_rng(42)
 
-    @pytest.mark.parametrize("algo", TWO_SIDED)
+    @pytest.mark.parametrize("algo", RUNGS)
     def test_bcast(self, algo):
         world, T, rng = self._world_and_type()
         n = self.N_RANKS
@@ -158,7 +153,7 @@ class TestFlatOpsOracle:
                 f"{algo.value}: rank {r}"
             )
 
-    @pytest.mark.parametrize("algo", TWO_SIDED)
+    @pytest.mark.parametrize("algo", RUNGS)
     def test_gather(self, algo):
         world, T, rng = self._world_and_type()
         n = self.N_RANKS
@@ -186,7 +181,7 @@ class TestFlatOpsOracle:
                 pack_bytes(T, 1, sendbufs[src].bytes),
             ), f"{algo.value}: slot {src}"
 
-    @pytest.mark.parametrize("algo", TWO_SIDED)
+    @pytest.mark.parametrize("algo", RUNGS)
     def test_allgather(self, algo):
         world, T, rng = self._world_and_type()
         n = self.N_RANKS
@@ -221,7 +216,7 @@ class TestFlatOpsOracle:
 class TestHostAndMixedBuffers:
     """Host-only worlds and mixed host/device staged interop."""
 
-    @pytest.mark.parametrize("algo", TWO_SIDED)
+    @pytest.mark.parametrize("algo", RUNGS)
     def test_alltoall_host_buffers(self, algo):
         n = 4
         world = build_world(n, device=False)
@@ -295,7 +290,7 @@ class TestHostAndMixedBuffers:
 @settings(max_examples=8, deadline=None)
 @given(
     dt=datatypes(),
-    algo=st.sampled_from(A2A_ALGOS),
+    algo=st.sampled_from(RUNGS),
     data=st.randoms(),
 )
 def test_alltoall_random_datatype(dt, algo, data):
@@ -338,7 +333,7 @@ def test_alltoall_random_datatype(dt, algo, data):
 class TestChaos:
     """Seeded AM drops: the retransmit layer must keep results exact."""
 
-    @pytest.mark.parametrize("algo", TWO_SIDED)
+    @pytest.mark.parametrize("algo", RUNGS)
     def test_alltoall_under_drops(self, algo):
         n = 4
         config = MpiConfig(

@@ -32,6 +32,8 @@ def test_but_keeps_validation():
         dict(rdma_mode="push"),
         dict(coll_algorithm="bruck"),
         dict(coll_algorithm=""),
+        # the leader-per-node rung, deleted with its executor
+        dict(coll_algorithm="hierarchical"),
         dict(coll_staged_threshold=-1),
     ],
     ids=lambda kw: next(iter(kw.items()))[0] + "=" + str(next(iter(kw.values()))),
@@ -63,7 +65,7 @@ def test_retry_policy_defaults_valid():
 
 @pytest.mark.parametrize(
     "name",
-    ["auto", "pairwise", "nonblocking", "staged", "direct", "hierarchical"],
+    ["auto", "pairwise", "nonblocking", "staged", "direct"],
 )
 def test_every_ladder_rung_accepted(name):
     assert MpiConfig(coll_algorithm=name).coll_algorithm == name

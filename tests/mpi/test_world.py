@@ -281,6 +281,26 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match=rf"MpiWorld: placements\[1\] {arg}"):
             MpiWorld(Cluster(1, 2), [(0, 0), placement])
 
+    @pytest.mark.parametrize("call", ["isend", "irecv"])
+    def test_primitive_datatype(self, call):
+        """A primitive used to fail as ``AttributeError: 'Primitive'
+        object has no attribute 'commit'``."""
+        world = self.world3()
+        mpi = world.context(0)
+        with pytest.raises(TypeError, match=f"{call}: datatype=MPI_BYTE "):
+            getattr(mpi, call)(mpi.host_alloc(8), BYTE, 8, 1)
+        assert world.procs[0].matching.posted_count == 0
+
+    @pytest.mark.parametrize("shape, arg", [
+        ((0, 1), "n_nodes=0 "), ((-1, 1), "n_nodes=-1 "),
+        ((2, -1), "gpus_per_node=-1 "),
+    ])
+    def test_cluster_shape(self, shape, arg):
+        """An empty cluster was built, and its ``repr`` raised
+        ``IndexError``; a negative GPU count built GPU-less nodes."""
+        with pytest.raises(ValueError, match=f"Cluster: {arg}"):
+            Cluster(*shape)
+
     @pytest.mark.parametrize("call, tag", [
         ("isend", -1), ("isend", -7), ("irecv", -2),
     ])

@@ -75,7 +75,7 @@ class TestScenarios:
         assert res.ok, (res.divergent, res.errors)
 
     def test_coll_ladder_runs_every_executor(self, monkeypatch):
-        """``coll_ladder`` covers all 17 (op, rung) pairs; dropping one
+        """``coll_ladder`` covers all 16 (op, rung) pairs; dropping one
         would leave an executor path unexplored."""
         import repro.mpi.world as world_mod
         from repro.mpi.collectives import CollAlgorithm
@@ -91,14 +91,12 @@ class TestScenarios:
         ex.SCENARIOS["coll_ladder"](Simulator())
         (world,) = worlds
         ran = {k for k in world.stats().coll_ops if not k.endswith(".bytes")}
-        rungs = [a.value for a in CollAlgorithm]
         want = {
-            f"{op}.{rung}"
-            for op in ("bcast", "gather", "allgather")
-            for rung in rungs
-            if rung != "hierarchical"
-        } | {f"alltoallv.{rung}" for rung in rungs}
-        assert len(want) == 17
+            f"{op}.{rung.value}"
+            for op in ("bcast", "gather", "allgather", "alltoallv")
+            for rung in CollAlgorithm
+        }
+        assert len(want) == 16
         assert ran == want
 
     def test_traffic_replay_stays_off_default_paths(self, monkeypatch):
