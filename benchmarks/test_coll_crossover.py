@@ -1,18 +1,20 @@
-"""Collective algorithm ladder: the staged-vs-direct alltoall crossover.
+"""Collective algorithm ladder: the staged-vs-nonblocking alltoall crossover.
 
-The GPU-datatype-aware alltoall can move each peer block four ways
-(docs/COLLECTIVES.md); the two GPU-resident contenders are:
+The GPU-datatype-aware alltoall can move each peer block three ways
+(docs/COLLECTIVES.md); ``"auto"`` picks between two of them by the
+per-peer block size:
 
 * **staged** — pack every remote block, batch ONE D2H, exchange through
   host memory, batch ONE H2D on the receiver.  Pays the PCIe bounce
   twice but amortizes per-message costs across all peers;
-* **direct** — per-peer one-sided moves over IPC-mapped windows, no
-  batching but no host bounce for intra-node peers.
+* **nonblocking** — every two-sided isend/irecv in flight at once, each
+  block through the point-to-point protocols (CUDA IPC intra-node,
+  pipelined host staging inter-node), no batching.
 
-Expectation (mostly-inter-node topologies): staged wins small blocks,
-direct wins large ones, and the crossover sits in the 16-64 KB band the
-``coll_staged_threshold`` default (32 KB) mirrors — resonant with the
-paper's ~30 KB GPUDirect-profitability note.
+Measured (mostly-inter-node topologies): nonblocking wins every block
+from 4 KB per peer up, and from 1 KB on 4x1, so the crossover sits
+below the ``coll_staged_threshold`` default (32 KB).  ROADMAP item 6
+decides the rule; this benchmark pins what it would act on.
 """
 
 from __future__ import annotations
@@ -31,17 +33,17 @@ SIZES = PROFILE.pick(
     [4 << 10, 16 << 10, 64 << 10],
 )
 TOPOS = PROFILE.pick([(4, 1), (4, 2), (8, 1)], [(4, 2)])
-ALGOS = [CollAlgorithm.STAGED, CollAlgorithm.DIRECT]
+ALGOS = [CollAlgorithm.STAGED, CollAlgorithm.NONBLOCKING]
 
 
 @pytest.mark.figure("coll_crossover")
-def test_staged_vs_direct_crossover(benchmark, show):
-    """Staged wins the smallest block, direct the largest, flip in between."""
+def test_staged_vs_nonblocking_crossover(benchmark, show):
+    """Nonblocking wins the largest block on every topology."""
     for n_nodes, gpn in TOPOS:
         series = Series(
-            f"alltoall {n_nodes}x{gpn}: staged vs direct",
+            f"alltoall {n_nodes}x{gpn}: staged vs nonblocking",
             "block",
-            ["staged", "direct"],
+            ["staged", "nonblocking"],
         )
         for nbytes in SIZES:
             series.add(nbytes, **alltoall_times(
@@ -50,17 +52,9 @@ def test_staged_vs_direct_crossover(benchmark, show):
         show(series.to_table(fmt_time))
 
         staged = series.column("staged")
-        direct = series.column("direct")
-        assert staged[0] < direct[0], (
-            f"{n_nodes}x{gpn}: staged should win the {SIZES[0]}B block"
-        )
-        assert direct[-1] < staged[-1], (
-            f"{n_nodes}x{gpn}: direct should win the {SIZES[-1]}B block"
-        )
-        flips = [i for i in range(len(SIZES)) if direct[i] < staged[i]]
-        crossover = SIZES[flips[0]]
-        assert SIZES[0] < crossover <= 256 << 10, (
-            f"{n_nodes}x{gpn}: crossover at {crossover}B out of band"
+        nonblocking = series.column("nonblocking")
+        assert nonblocking[-1] < staged[-1], (
+            f"{n_nodes}x{gpn}: nonblocking should win the {SIZES[-1]}B block"
         )
 
 

@@ -663,12 +663,13 @@ def _world_scale(profile: Profile) -> dict[str, float]:
 def _coll_crossover(profile: Profile) -> dict[str, float]:
     """Rank-count x message-size sweep of the alltoall algorithm ladder.
 
-    Times the staged (batched copy-to-host) and direct (one-sided IPC)
-    alltoall over mostly-inter-node topologies and reports the per-peer
-    block size where direct first beats staged — the measured crossover
-    the ``coll_staged_threshold`` default mirrors.  Every time is off
-    the deterministic virtual clock, so the gate holds the crossover
-    point itself to the tight tolerance.
+    Times the staged (batched copy-to-host) and nonblocking (every
+    two-sided leg in flight) alltoall — the two rungs ``"auto"`` picks
+    between — over mostly-inter-node topologies and reports the first
+    per-peer block size where nonblocking beats staged, the crossover
+    ``coll_staged_threshold`` stands for.  Every time is off the
+    deterministic virtual clock, so the gate holds the crossover point
+    itself to the tight tolerance.
     """
     from repro.bench.harness import alltoall_times
     from repro.mpi.collectives import CollAlgorithm
@@ -678,7 +679,7 @@ def _coll_crossover(profile: Profile) -> dict[str, float]:
         [4 << 10, 16 << 10, 64 << 10],
     )
     topos = profile.pick([(4, 1), (4, 2), (8, 1)], [(4, 2)])
-    algos = [CollAlgorithm.STAGED, CollAlgorithm.DIRECT]
+    algos = [CollAlgorithm.STAGED, CollAlgorithm.NONBLOCKING]
     out: dict[str, float] = {}
     for n_nodes, gpn in topos:
         crossover = 0.0
@@ -688,7 +689,7 @@ def _coll_crossover(profile: Profile) -> dict[str, float]:
             )
             for algo, t in times.items():
                 out[f"n{n_nodes}x{gpn}_{nbytes >> 10}kb_{algo}_s"] = t
-            if not crossover and times["direct"] < times["staged"]:
+            if not crossover and times["nonblocking"] < times["staged"]:
                 crossover = float(nbytes)
         out[f"n{n_nodes}x{gpn}_crossover_bytes"] = crossover
     return out

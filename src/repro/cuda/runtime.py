@@ -4,7 +4,7 @@ Only what the paper's engine needs is exposed: memory management, the
 memcpy family (including ``cudaMemcpy2D`` with its alignment-sensitive
 cost), streams and events.  Kernel launches live in
 :mod:`repro.gpu_engine`, which computes kernel costs via the hardware
-model and submits through :meth:`repro.hw.gpu.Gpu.launch_kernel`.
+model and enqueues them on a :class:`repro.hw.gpu.Stream`.
 """
 
 from __future__ import annotations

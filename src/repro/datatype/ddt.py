@@ -13,6 +13,7 @@ consumes when one exists.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "subarray",
     "resized",
     "require_datatypes",
+    "require_ints",
 ]
 
 # Per-object identity counter.  INTERNAL to repro.datatype: it is unique
@@ -303,6 +305,21 @@ def require_datatypes(call: str, **args) -> None:
                 f"{call}: {name}={value!r} is a {type(value).__name__}, "
                 "not a Datatype (wrap a primitive p as contiguous(1, p))"
             )
+
+
+def require_ints(call: str, **args) -> None:
+    """Raise ``TypeError`` naming ``call`` and the first of ``args`` that
+    is not an integer: ranks, counts and tags take an ``int`` or a NumPy
+    integer.  Callers test ``type(x) is int`` inline and call this only
+    when that fails, so the message path runs no extra Python call."""
+    for name, value in args.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(
+                f"{call}: {name}={value!r} is a {type(value).__name__}, "
+                "not an integer"
+            ) from None
 
 
 _PRIM_CACHE: dict[str, Datatype] = {}

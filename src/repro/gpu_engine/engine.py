@@ -356,7 +356,7 @@ class PackJob:
         stream = stream or self.stream
         duration = stats.total_time
         co_links = []
-        link = self._remote_link(contig)
+        link = self._link_for(contig)
         if link is not None:
             # kernels reaching a peer GPU's memory issue latency-bound
             # PCIe transactions and under-utilize the wire; zero-copy to
@@ -397,26 +397,12 @@ class PackJob:
             writes=writes,
         )
 
-    def _remote_link(self, contig: Buffer):
-        """PCIe link a kernel must stream over to reach its buffers.
-
-        Either side may be remote: the contiguous (packed) buffer — the
-        protocols' case — or the *user* layout buffer, which happens for
-        one-sided operations where the origin's kernel scatters/gathers
-        directly in a peer's mapped window.
-        """
-        link = self._link_for(contig)
-        if link is not None:
-            return link
-        return self._link_for(self.user_buf)
-
-    def _link_for(self, buf: Buffer):
-        if buf.is_host:
-            if buf is self.user_buf and not is_mapped_host(buf):
-                # a host-resident *user* buffer is the CPU convertor's
-                # business normally; a GPU kernel can only reach it mapped
-                return None
-            if is_mapped_host(buf):
+    def _link_for(self, contig: Buffer):
+        """PCIe link a kernel streams over to reach its packed buffer:
+        the mapped host link for zero-copy, the P2P link for a peer GPU's
+        memory, None for this GPU's own memory."""
+        if contig.is_host:
+            if is_mapped_host(contig):
                 return (
                     self.gpu.d2h_link
                     if self.direction == "pack"
@@ -426,7 +412,7 @@ class PackJob:
                 "kernel target is unmapped host memory; zero-copy requires "
                 "map_host_buffer()"
             )
-        peer = buf.device
+        peer = contig.device
         if peer is not None and peer is not self.gpu:
             link = self.gpu.p2p_links.get(peer.name)
             if link is None:

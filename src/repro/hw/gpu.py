@@ -339,24 +339,6 @@ class Gpu:
         )
 
     # -- operations ---------------------------------------------------------
-    def launch_kernel(
-        self,
-        stats: KernelStats,
-        fn: Optional[Callable[[], None]] = None,
-        stream: Optional[Stream] = None,
-        label: str = "kernel",
-        co_links: Sequence[FifoLink] = (),
-    ) -> Future:
-        """Run a kernel whose cost was computed by one of the stats methods."""
-        stream = stream or self.default_stream
-        return stream.enqueue(
-            stats.total_time,
-            fn=fn,
-            label=label,
-            co_links=co_links,
-            nbytes=stats.payload_bytes,
-        )
-
     def memcpy_d2d(
         self,
         dst: Buffer,

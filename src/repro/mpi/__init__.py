@@ -20,7 +20,6 @@ them over a :class:`repro.hw.node.Cluster` and runs user programs.
 
 from repro.mpi.config import MpiConfig
 from repro.mpi.requests import Request, Status
-from repro.mpi.rma import RmaWindow
 from repro.mpi.world import MpiWorld, RankContext
 from repro.mpi import collectives
 
@@ -28,7 +27,6 @@ __all__ = [
     "MpiConfig",
     "Request",
     "Status",
-    "RmaWindow",
     "MpiWorld",
     "RankContext",
     "collectives",

@@ -16,7 +16,7 @@ pairwise alltoall rounds).  Every collective accepts an algorithm from
 the :class:`CollAlgorithm` ladder (see docs/COLLECTIVES.md), resolved per
 call from an explicit ``algorithm=`` override, else
 ``MpiConfig.coll_algorithm``, else the per-op ``"auto"`` default; the
-rung picks the shape and one of three executors (two-sided, staged, direct):
+rung picks the shape and one of two executors (two-sided, staged):
 
 - ``PAIRWISE`` — the op's ordered shape (binomial tree, serialized
   gather, ring, pairwise exchange), run two-sided: each round's legs
@@ -29,15 +29,10 @@ rung picks the shape and one of three executors (two-sided, staged, direct):
   per-block unpack.  The per-message GPU costs (kernel launches, IPC
   handshakes) are paid once, which is why it wins at small sizes
   (SNIPPETS.md ``copy_to_cpu_alltoall``).
-- ``DIRECT`` — one-sided: each send leg becomes a put into the peer's
-  published receive leg via :func:`repro.mpi.rma.one_sided_move`
-  (CUDA-IPC scatter kernels intra-node), fenced by barriers.
 
-Mixed worlds are fine for the two-sided rungs: ``STAGED`` is a local
-decision (the wire carries the same packed signature either way), so a
-host-buffer rank interoperates with a device rank that stages.
-``DIRECT`` changes the message pattern and must be chosen world-wide
-(the shared ``MpiConfig`` or the same override).
+Mixed worlds are fine: ``STAGED`` is a local decision (the wire carries
+the same packed signature either way), so a host-buffer rank
+interoperates with a device rank that stages.
 
 Tag-space layout: collective traffic lives above ``_COLL_TAG_BASE``
 (1 << 20), and every op owns a disjoint ``_COLL_OP_SPAN``-wide
@@ -56,16 +51,19 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.datatype.ddt import Datatype, contiguous, require_datatypes, struct
+from repro.datatype.ddt import (
+    Datatype,
+    contiguous,
+    require_datatypes,
+    require_ints,
+    struct,
+)
 from repro.datatype.primitives import BYTE, PREDEFINED
 from repro.hw.memory import Buffer
 from repro.mpi.pml import _times
-from repro.mpi.rma import one_sided_move
 from repro.sanitize import runtime as _san
-from repro.sim.core import all_of
 
 if TYPE_CHECKING:
     from repro.mpi.world import RankContext
@@ -86,7 +84,6 @@ class CollAlgorithm(str, Enum):
     PAIRWISE = "pairwise"
     NONBLOCKING = "nonblocking"
     STAGED = "staged"
-    DIRECT = "direct"
 
 
 # -- tag space ----------------------------------------------------------------
@@ -178,10 +175,9 @@ def _resolve_algorithm(
     ``"auto"`` keeps the classic per-op defaults and, for the alltoall
     family, stages device buffers through the host when the largest
     per-peer packed block is at or below ``coll_staged_threshold`` bytes
-    and takes the nonblocking path otherwise.  It never picks DIRECT:
-    that changes the message pattern and must be chosen world-wide.
-    The threshold comes from the staged-vs-direct crossover
-    that bench scenario ``coll_crossover`` measures.
+    and takes the nonblocking path otherwise.  Bench scenario
+    ``coll_crossover`` measures where nonblocking first beats staged,
+    the two rungs this choice is between.
     """
     choice = explicit if explicit is not None else mpi.config.coll_algorithm
     if isinstance(choice, CollAlgorithm):
@@ -215,8 +211,6 @@ def _resolve_algorithm(
 # that carry one block object carry the same bytes (an allgather's send
 # block, the bcast block); distinct block objects are distinct data even
 # when their buffers alias, so the staged executor gives each its slot.
-
-_PEER = itemgetter(1)
 
 
 def _tree(rank: int, size: int, root: int, block: tuple) -> list:
@@ -399,46 +393,10 @@ def _staged(mpi: "RankContext", rounds: list, op: str, seq: int):
         proc.release_staging("host", hout)
 
 
-def _direct(mpi: "RankContext", rounds: list, op: str, seq: int):
-    """One-sided: every send leg becomes a put into the peer's published
-    receive leg, in ascending peer order, between two barriers.
-
-    Ranks publish their receive legs in a world-level table keyed by
-    (op, seq), which every rank derives identically, and the first
-    barrier orders the deposits before the reads.  A put with both ends
-    empty is skipped.
-    """
-    world = mpi.world
-    rank = mpi.rank
-    legs = [leg for round_legs in rounds for leg in round_legs]
-    key = (op, seq)
-    table = world._coll_rendezvous.setdefault(key, {})
-    table[rank] = {leg[1]: leg[2] for leg in legs if not leg[0]}
-    yield mpi.barrier()
-    procs = []
-    for _s, peer, (buf, dt, count) in sorted(
-        (leg for leg in legs if leg[0]), key=_PEER
-    ):
-        tbuf, tdt, tcount = table[peer][rank]
-        if count or tcount:
-            procs.append(mpi.sim.spawn(
-                one_sided_move(
-                    mpi.proc, buf, dt, count,
-                    world.procs[peer], tbuf, tdt, tcount, "put",
-                ),
-                label=f"coll.{op}.put r{rank}->r{peer}",
-            ))
-    if procs:
-        yield all_of(mpi.sim, procs, label="coll.direct")
-    yield mpi.barrier()
-    world._coll_rendezvous.pop(key, None)
-
-
 _EXECUTORS = {
     CollAlgorithm.PAIRWISE: _two_sided,
     CollAlgorithm.NONBLOCKING: _two_sided,
     CollAlgorithm.STAGED: _staged,
-    CollAlgorithm.DIRECT: _direct,
 }
 
 
@@ -504,6 +462,8 @@ def bcast(
     except AttributeError:
         require_datatypes("bcast", dt=dt)
         raise
+    if not (type(count) is type(root) is int):
+        require_ints("bcast", count=count, root=root)
     if not 0 <= root < mpi.size:
         raise ValueError(
             f"bcast: root={root} is not a rank of this {mpi.size}-rank world"
@@ -546,6 +506,8 @@ def gather(
     except AttributeError:
         require_datatypes("gather", send_dt=send_dt)
         raise
+    if not (type(send_count) is type(root) is int):
+        require_ints("gather", send_count=send_count, root=root)
     if not 0 <= root < mpi.size:
         raise ValueError(
             f"gather: root={root} is not a rank of this {mpi.size}-rank world"
@@ -559,6 +521,8 @@ def gather(
             raise ValueError(
                 f"gather: root rank {root} must pass recvbufs and recv_dt"
             )
+        if recv_count is not None and type(recv_count) is not int:
+            require_ints("gather", recv_count=recv_count)
         if recv_count is None or recv_count <= 0:
             raise ValueError(
                 "gather: recv_count must be a positive element count at "
@@ -609,6 +573,8 @@ def allgather(
     except AttributeError:
         require_datatypes("allgather", send_dt=send_dt, recv_dt=recv_dt)
         raise
+    if not (type(send_count) is type(recv_count) is int):
+        require_ints("allgather", send_count=send_count, recv_count=recv_count)
     size = mpi.size
     if len(recvbufs) != size:
         raise ValueError(
@@ -654,6 +620,8 @@ def alltoall(
     Coroutine: ``yield from alltoall(...)``.  Returns the bytes moved
     per rank (``send_dt.size * send_count * size``).
     """
+    if not (type(send_count) is type(recv_count) is int):
+        require_ints("alltoall", send_count=send_count, recv_count=recv_count)
     return _alltoall_common(
         mpi, "alltoall", sendbufs, send_dt, [send_count] * mpi.size,
         recvbufs, recv_dt, [recv_count] * mpi.size, algorithm,
@@ -677,9 +645,17 @@ def alltoallv(
     pairs.  Coroutine: ``yield from alltoallv(...)``.  Returns the bytes
     moved per rank (``send_dt.size * sum(send_counts)``).
     """
+    send_counts = list(send_counts)
+    recv_counts = list(recv_counts)
+    for name, counts in (
+        ("send_counts", send_counts), ("recv_counts", recv_counts)
+    ):
+        for i, c in enumerate(counts):
+            if type(c) is not int:
+                require_ints("alltoallv", **{f"{name}[{i}]": c})
     return _alltoall_common(
-        mpi, "alltoallv", sendbufs, send_dt, list(send_counts),
-        recvbufs, recv_dt, list(recv_counts), algorithm,
+        mpi, "alltoallv", sendbufs, send_dt, send_counts,
+        recvbufs, recv_dt, recv_counts, algorithm,
     )
 
 

@@ -82,20 +82,19 @@ class MpiConfig:
     rdma_mode: str = "get"
 
     #: collective algorithm selection (docs/COLLECTIVES.md): one of
-    #: "auto", "pairwise", "nonblocking", "staged", "direct".  "auto"
-    #: keeps the classic per-op defaults (binomial bcast, linear
-    #: gather, ring allgather) and picks staged-vs-nonblocking for the
-    #: alltoall family by message size; it never picks direct, which
-    #: must be chosen world-wide.  Every collective also accepts an
+    #: "auto", "pairwise", "nonblocking", "staged".  "auto" keeps the
+    #: classic per-op defaults (binomial bcast, linear gather, ring
+    #: allgather) and picks staged-vs-nonblocking for the alltoall
+    #: family by message size.  Every collective also accepts an
     #: explicit per-call override
     coll_algorithm: str = "auto"
     #: per-peer packed bytes at or below which "auto" routes a device
     #: alltoall-family call through the copy-to-host staged path; above
     #: it (and for host buffers) "auto" takes the nonblocking path.  The
-    #: ``coll_crossover`` bench scenario measures the staged-vs-*direct*
-    #: flip at ~16-64 KB depending on topology (mostly-inter-node
-    #: worlds) — this default sits in that band, and matches the
-    #: paper's ~30 KB GPUDirect-profitability note
+    #: ``coll_crossover`` bench scenario measures where nonblocking first
+    #: beats staged: 1-4 KB on mostly-inter-node worlds.  This default was
+    #: calibrated against a one-sided rung since deleted; moving it moves
+    #: gated collective numbers, so it changes only with a baseline refresh
     coll_staged_threshold: int = 32 * KB
 
     #: keep a per-rank TransferStats log entry for every transfer.  On by
@@ -137,13 +136,13 @@ class MpiConfig:
                 f"rdma_mode must be 'get' or 'put', got {self.rdma_mode!r}"
             )
         if self.coll_algorithm not in (
-            "auto", "pairwise", "nonblocking", "staged", "direct",
+            "auto", "pairwise", "nonblocking", "staged",
         ):
             # collectives resolve this per call; a typo here would only
             # surface deep inside the first collective of a run
             raise ValueError(
                 "coll_algorithm must be one of 'auto', 'pairwise', "
-                f"'nonblocking', 'staged', 'direct', got {self.coll_algorithm!r}"
+                f"'nonblocking', 'staged', got {self.coll_algorithm!r}"
             )
         if self.coll_staged_threshold < 0:
             raise ValueError(

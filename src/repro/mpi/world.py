@@ -18,7 +18,7 @@ import gc
 import time as _time
 from typing import Callable, Optional, Sequence
 
-from repro.datatype.ddt import Datatype
+from repro.datatype.ddt import Datatype, require_ints
 from repro.faults.plan import FaultPlan
 from repro.hw.memory import Buffer
 from repro.hw.node import Cluster
@@ -31,7 +31,7 @@ from repro.mpi.requests import Request
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stats import WorldStats, classify_resource
 from repro.sanitize import runtime as _san
-from repro.sim.core import Future, Process, all_of, any_of
+from repro.sim.core import Future, Process, SimulationError, all_of, any_of
 
 __all__ = ["MpiWorld", "RankContext"]
 
@@ -109,9 +109,6 @@ class MpiWorld:
                     f"MpiWorld: placements[{rank}] gpu={gpu_i} is not a GPU "
                     f"of node {node_i}, which has {len(nodes[node_i].gpus)}"
                 )
-        #: scratch tables collectives use to exchange per-call metadata
-        #: out-of-band (keyed by (op, seq); see repro.mpi.collectives)
-        self._coll_rendezvous: dict = {}
         #: world-wide metrics store; ranks get ``r<rank>.``-scoped views
         self.metrics = MetricsRegistry()
         if self.config.sanitize.any_enabled:
@@ -141,11 +138,10 @@ class MpiWorld:
         self._barrier_snap: Optional[dict] = None
         #: verifier bookkeeping (see repro.sanitize.verify): requests
         #: tracked for the finalize audit (populated only while the
-        #: verifier is installed), weakrefs to every RMA window built
-        #: over this world, barrier wait tokens, and freed context ids
+        #: verifier is installed), barrier wait tokens, and freed context
+        #: ids
         self._verify_requests: list[Request] = []
         self._barrier_toks: list[int] = []
-        self._rma_windows: list = []
         self._freed_comms: set[int] = set()
         #: simulator-counter baselines for the current stats window — the
         #: shared clock may predate (or outlive) this world, so ``stats()``
@@ -195,6 +191,9 @@ class MpiWorld:
 
         ``programs`` maps rank -> program; a sequence assigns by index.
         Each program is called with its rank's :class:`RankContext`.
+        A run that stops with a program unfinished raises
+        :class:`SimulationError` naming what each built rank's matching
+        engine holds (with the verifier, its wait-for diagnosis instead).
 
         Automatic garbage collection stays paused for the whole call, as
         in :meth:`Simulator.run`: a wide world's spawns alone would
@@ -216,7 +215,20 @@ class MpiWorld:
                 mpi = self.context(rank)
                 procs.append(self.sim.spawn(fn(mpi), label=f"rank{rank}"))
             done = all_of(self.sim, procs, label="world.run")
-            self.sim.run_until_complete(done, limit=limit)
+            try:
+                self.sim.run_until_complete(done, limit=limit)
+            except SimulationError as exc:
+                if done.done or _san.VERIFY is not None:
+                    raise  # a failed rank, or the verifier's diagnosis
+                from repro.sanitize.verify.audit import matching_residue
+
+                state = "".join(
+                    f"\n  rank {rank} {text}"
+                    for _kind, rank, text in matching_residue(self)
+                )
+                raise SimulationError(
+                    f"{exc}\nmatching state:{state or ' nothing posted'}"
+                ) from None
             if _san.RACE is not None:
                 # the caller resumes after every rank's program, so the
                 # next run (spawned from the caller) happens after this one
@@ -237,8 +249,8 @@ class MpiWorld:
         With the verifier installed (``REPRO_SANITIZE=verify``/``all``),
         audits the world for leaked resources — never-completed requests,
         unmatched posted receives, undrained unexpected messages, open
-        re-sequencer gaps, unfreed RMA windows, DevCache entries pinned
-        past their communicator — recording each finding as a
+        re-sequencer gaps, DevCache entries pinned past their
+        communicator — recording each finding as a
         ``verify.*`` violation (raising on the first one in raise mode)
         and bumping ``verify.audit.*`` world metrics.  Returns the
         findings; a no-op returning ``[]`` when the verifier is off.
@@ -420,6 +432,8 @@ class RankContext:
         comm: "Communicator | None" = None,
     ) -> Request:
         """Nonblocking send; returns a waitable :class:`Request`."""
+        if not (type(dest) is type(count) is type(tag) is int):
+            require_ints("isend", dest=dest, count=count, tag=tag)
         if not 0 <= dest < self.size:
             raise ValueError(
                 f"isend: dest={dest} is not a rank of this "
@@ -430,12 +444,13 @@ class RankContext:
         if tag < 0:
             raise ValueError(f"isend: tag={tag} is negative")
         comm_id = comm.comm_id if comm is not None else 0
-        nbytes = datatype.size * count
-        req = Request(
-            pml.isend(self.world, self.proc, buf, datatype, count, dest, tag,
-                      comm_id),
-            "send", nbytes,
+        # pml.isend commits the datatype first: a non-Datatype fails there,
+        # named, before its size is read
+        fut = pml.isend(
+            self.world, self.proc, buf, datatype, count, dest, tag, comm_id
         )
+        nbytes = datatype.size * count
+        req = Request(fut, "send", nbytes)
         if _san.VERIFY is not None:
             _san.VERIFY.track_request(
                 self.world, req, self.rank, "send", dest, tag, comm_id, nbytes
@@ -452,6 +467,8 @@ class RankContext:
         comm: "Communicator | None" = None,
     ) -> Request:
         """Nonblocking receive; resolves with a :class:`Status`."""
+        if not (type(source) is type(count) is type(tag) is int):
+            require_ints("irecv", source=source, count=count, tag=tag)
         if source != ANY_SOURCE and not 0 <= source < self.size:
             raise ValueError(
                 f"irecv: source={source} is neither ANY_SOURCE nor a rank "
@@ -462,12 +479,11 @@ class RankContext:
         if tag < 0 and tag != ANY_TAG:
             raise ValueError(f"irecv: tag={tag} is neither ANY_TAG nor >= 0")
         comm_id = comm.comm_id if comm is not None else 0
-        nbytes = datatype.size * count
-        req = Request(
-            pml.irecv(self.world, self.proc, buf, datatype, count, source, tag,
-                      comm_id),
-            "recv", nbytes,
+        fut = pml.irecv(
+            self.world, self.proc, buf, datatype, count, source, tag, comm_id
         )
+        nbytes = datatype.size * count
+        req = Request(fut, "recv", nbytes)
         if _san.VERIFY is not None:
             _san.VERIFY.track_request(
                 self.world, req, self.rank, "recv", source, tag, comm_id,

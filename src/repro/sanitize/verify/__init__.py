@@ -4,7 +4,7 @@ Three coordinated layers (enable with ``REPRO_SANITIZE=verify`` or
 ``SanitizeOptions(verify=True)``):
 
 1. **Deadlock detector** — blocking MPI operations (rendezvous CTS
-   waits, posted receives, barrier phases, RMA fences) register a
+   waits, posted receives, barrier phases) register a
    :class:`~repro.sanitize.verify.waitgraph.WaitInfo` here while parked;
    when the event loop drains with the root process unfinished,
    :meth:`Verifier.on_stuck` turns the live waits into a wait-for-graph
@@ -14,8 +14,8 @@ Three coordinated layers (enable with ``REPRO_SANITIZE=verify`` or
 
 2. **Finalize-time resource audit** — :meth:`repro.mpi.world.MpiWorld.finalize`
    calls :func:`repro.sanitize.verify.audit.audit_world` to flag
-   unmatched posted receives, never-completed requests, unfreed RMA
-   windows, and DevCache entries pinned past their communicator.
+   unmatched posted receives, never-completed requests, and DevCache
+   entries pinned past their communicator.
 
 3. **Schedule-perturbation explorer** —
    ``python -m repro.sanitize.explore`` (see
@@ -47,7 +47,7 @@ class Verifier:
 
     One instance is installed at :data:`repro.sanitize.runtime.VERIFY`
     by :func:`repro.sanitize.enable`.  Per-world state (tracked
-    requests, RMA windows) lives on the world objects themselves and
+    requests) lives on the world objects themselves and
     per-engine state (delivery counters) on the matching engines, so a
     session-long verifier holds no references that outlive the worlds
     it watched.

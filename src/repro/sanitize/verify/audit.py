@@ -17,8 +17,6 @@ with nothing outstanding; everything still live is a finding:
 ``verify.seq_gap``
     Out-of-order arrivals still held by the re-sequencer — the gap
     (a dropped or never-sent pair_seq) never closed.
-``verify.window_leak``
-    An :class:`~repro.mpi.rma.RmaWindow` never freed.
 ``verify.barrier_incomplete``
     Ranks left waiting inside the scaffolding barrier.
 ``verify.cache_pin_leak``
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["audit_world"]
+__all__ = ["audit_world", "matching_residue"]
 
 
 def _key_label(key: tuple) -> str:
@@ -48,6 +46,42 @@ def _key_label(key: tuple) -> str:
 def _count(world, kind: str) -> None:
     world.metrics.counter("verify.audit.findings").inc()
     world.metrics.counter(f"verify.audit.{kind}").inc()
+
+
+def matching_residue(world):
+    """Yield ``(kind, rank, text)`` for what the built ranks' matching
+    engines still hold: posted receives (``recv_unmatched``), arrivals no
+    receive matched (``unexpected_message``) and out-of-order arrivals
+    held behind a gap (``seq_gap``).
+
+    The audit records each as a finding; a stuck plain
+    :meth:`~repro.mpi.world.MpiWorld.run` lists them in its error.
+    """
+    for proc in world.procs.materialized():
+        rank = proc.rank
+        eng = proc.matching
+        for post in eng._posted:
+            src = "ANY" if post.source < 0 else post.source
+            yield "recv_unmatched", rank, (
+                f"posted receive (source={src}, tag={post.tag}, "
+                f"comm={post.comm_id}) never matched"
+            )
+        for env, arrival in eng._unexpected:
+            header = arrival[1]  # the PML's (env, header, payload, source)
+            proto = "eager" if header["eager"] else "rendezvous"
+            yield "unexpected_message", rank, (
+                f"holds an unexpected {proto} message from r{env.source} "
+                f"(tag={env.tag}, comm={env.comm_id}, {header['total']}B, "
+                f"pair_seq={env.pair_seq}) no receive consumed"
+            )
+        for (src, comm_id), pending in eng._held.items():
+            if pending:
+                want = eng._next_pair.get((src, comm_id), 0)
+                yield "seq_gap", rank, (
+                    f"held out-of-order arrivals from r{src} "
+                    f"(comm={comm_id}): have pair_seq {sorted(pending)}, "
+                    f"the gap at {want} never closed"
+                )
 
 
 def audit_world(world, verifier) -> list:
@@ -91,52 +125,8 @@ def audit_world(world, verifier) -> list:
         )
 
     # -- matching-engine residue -------------------------------------------
-    for proc in world.procs.materialized():
-        eng = proc.matching
-        for post in eng._posted:
-            src = "ANY" if post.source < 0 else post.source
-            rec(
-                "verify.recv_unmatched",
-                "recv_unmatched",
-                f"rank {proc.rank} posted receive (source={src}, "
-                f"tag={post.tag}, comm={post.comm_id}) never matched",
-                f"r{proc.rank}",
-            )
-        for env, _arrival in eng._unexpected:
-            rec(
-                "verify.unexpected_message",
-                "unexpected_message",
-                f"rank {proc.rank} holds an unexpected message from "
-                f"r{env.source} (tag={env.tag}, comm={env.comm_id}, "
-                f"pair_seq={env.pair_seq}) no receive consumed",
-                f"r{proc.rank}",
-            )
-        for (src, comm_id), pending in eng._held.items():
-            if not pending:
-                continue
-            want = eng._next_pair.get((src, comm_id), 0)
-            rec(
-                "verify.seq_gap",
-                "seq_gap",
-                f"rank {proc.rank} held out-of-order arrivals from r{src} "
-                f"(comm={comm_id}): have pair_seq {sorted(pending)}, the "
-                f"gap at {want} never closed",
-                f"r{proc.rank}",
-            )
-
-    # -- RMA windows --------------------------------------------------------
-    for ref in world._rma_windows:
-        win = ref()
-        if win is not None and not win.freed:
-            pending = sum(len(v) for v in win._pending.values())
-            extra = f", {pending} unfenced op(s)" if pending else ""
-            rec(
-                "verify.window_leak",
-                "window_leak",
-                f"RMA window w{win.win_id} ({len(win.buffers)} buffers"
-                f"{extra}) never freed",
-                f"w{win.win_id}",
-            )
+    for kind, rank, text in matching_residue(world):
+        rec(f"verify.{kind}", kind, f"rank {rank} {text}", f"r{rank}")
 
     # -- barrier ------------------------------------------------------------
     if world._barrier_arrived:

@@ -26,9 +26,10 @@ Scenarios cover the protocol matrix: ``eager`` (single-AM path, with a
 wildcard receive), ``rendezvous`` (pipelined RTS/CTS with small
 fragments), the three ``smoke-*`` environments of
 :mod:`repro.bench.smoke` (ipc_rdma / copyinout / host), and
-``coll_crossover`` (alltoall over a 2x2 world on both sides of the
-staged/direct crossover), ``coll_ladder`` (every collective executor:
-bcast, gather, allgather and a ragged alltoallv under all four rungs)
+``coll_crossover`` (alltoall over a 2x2 world under the two rungs
+``"auto"`` picks between, staged and nonblocking), ``coll_ladder``
+(every collective executor: bcast, gather, allgather and a ragged
+alltoallv under all three rungs)
 and ``traffic`` (a multi-tenant replay over copy-in/out
 and the gather plan).
 """
@@ -238,8 +239,8 @@ def _eager_scenario(sim: Simulator) -> str:
 
 
 def _coll_scenario(sim: Simulator) -> str:
-    """Alltoall over a 2x2 world on both sides of the staged/direct
-    crossover (the ``coll_crossover`` bench scenario's protagonists)."""
+    """Alltoall over a 2x2 world under the staged and the nonblocking
+    rung (the ``coll_crossover`` bench scenario's protagonists)."""
     from repro.hw.node import Cluster
     from repro.datatype.ddt import contiguous
     from repro.datatype.primitives import DOUBLE
@@ -269,7 +270,7 @@ def _coll_scenario(sim: Simulator) -> str:
 
     def program(rank):
         def run(mpi):
-            for algo in (CollAlgorithm.STAGED, CollAlgorithm.DIRECT):
+            for algo in (CollAlgorithm.STAGED, CollAlgorithm.NONBLOCKING):
                 yield from alltoall(
                     mpi, sendbufs[rank], dt, 1, recvbufs[rank], dt, 1,
                     algorithm=algo,
@@ -291,9 +292,9 @@ def _coll_ladder_scenario(sim: Simulator) -> str:
     """Every collective executor on a 2x2 device world.
 
     bcast (root 1), gather (root 2) and allgather run under the
-    pairwise, nonblocking, staged and direct rungs, then an alltoallv
-    with counts ``(s + d) % 3`` (zero blocks included) under the same
-    four.
+    pairwise, nonblocking and staged rungs, then an alltoallv with
+    counts ``(s + d) % 3`` (zero blocks included) under the same
+    three.
     Every block is a lower-triangular type and every call lands in its
     own receive buffers; the digest covers all received bytes.
     """
@@ -425,9 +426,9 @@ SCENARIOS: dict[str, Callable[[Simulator], str]] = {
     "smoke-cpu": lambda sim: _pingpong_scenario(
         sim, "cpu", n=128, iters=1, frag_bytes=16 * 1024
     ),
-    # collective crossover: staged + direct alltoall on a 2x2 world
+    # collective crossover: staged + nonblocking alltoall on a 2x2 world
     "coll_crossover": _coll_scenario,
-    # every collective executor: bcast/gather/allgather/alltoallv x 4
+    # every collective executor: bcast/gather/allgather/alltoallv x 3
     # rungs on a 2x2 world
     "coll_ladder": _coll_ladder_scenario,
     # multi-tenant traffic replay: copy-in/out, small frags, gather plan

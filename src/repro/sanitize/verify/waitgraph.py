@@ -14,8 +14,6 @@ analysis:
   world (any sender would unblock it).
 * ``barrier`` waits add AND edges to every world rank that has *not*
   arrived at the barrier.
-* ``fence`` waits have no remote edge — they wait on the local RMA
-  pending set — but still mark the rank as blocked.
 
 Because the simulator is a discrete-event loop, "queue empty with a wait
 outstanding" is an exact deadlock certificate: nothing can ever fire
@@ -37,7 +35,7 @@ class WaitInfo:
     """One blocked MPI operation, live while its process is parked."""
 
     token: int
-    kind: str  # "recv" | "cts" | "barrier" | "fence"
+    kind: str  # "recv" | "cts" | "barrier"
     rank: int
     sim: object
     #: peer rank; ``None`` means MPI_ANY_SOURCE (recv) or not applicable
@@ -101,7 +99,6 @@ def build_edges(waits: list) -> dict:
                 out.update(r for r in ranks if r != w.rank)
         elif w.kind == "barrier":
             out.update(r for r in ranks if r not in barrier_arrived)
-        # "fence": local wait, no remote edge
     return edges
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,80 @@ class TestBadArguments:
         }
         with pytest.raises(TypeError, match=f"{call}: {arg}=MPI_BYTE "):
             calls[call]()
+
+    @pytest.mark.parametrize("call, arg, value", [
+        ("bcast", "root", None),
+        ("bcast", "count", None),
+        ("bcast", "count", 2.0),
+        ("gather", "root", 1.0),
+        ("gather", "send_count", None),
+        ("gather", "recv_count", 1.5),
+        ("allgather", "send_count", 1.0),
+        ("allgather", "recv_count", None),
+        ("alltoall", "send_count", 2.5),
+        ("alltoall", "recv_count", None),
+        ("alltoallv", "send_counts[0]", 1.0),
+        ("alltoallv", "recv_counts[1]", None),
+    ])
+    def test_non_integer_argument(self, call, arg, value):
+        """A ``None`` root or count used to fail as a bare "'<' not
+        supported", a float count inside NumPy or not at all."""
+        world, dt, bufs = self.world2()
+        for r in range(2):
+            mpi = world.context(r)
+            kw = {arg: value}
+
+            def val(name, default):
+                return kw.get(name, default)
+
+            calls = {
+                "bcast": lambda: bcast(
+                    mpi, bufs[r], dt, val("count", 1), root=val("root", 0)
+                ),
+                "gather": lambda: gather(
+                    mpi, bufs[r], dt, val("send_count", 1), bufs, dt,
+                    val("recv_count", 1), root=val("root", r),
+                ),
+                "allgather": lambda: allgather(
+                    mpi, bufs[r], dt, val("send_count", 1), bufs, dt,
+                    val("recv_count", 1),
+                ),
+                "alltoall": lambda: alltoall(
+                    mpi, bufs, dt, val("send_count", 1), bufs, dt,
+                    val("recv_count", 1),
+                ),
+                "alltoallv": lambda: alltoallv(
+                    mpi, bufs, dt, [val("send_counts[0]", 1), 1], bufs, dt,
+                    [1, val("recv_counts[1]", 1)],
+                ),
+            }
+            want = f"{call}: {arg}={value!r} is a {type(value).__name__}, "
+            with pytest.raises(TypeError, match=re.escape(want)):
+                calls[call]()
+        assert world.sim.events_processed == 0
+
+    def test_numpy_integers_accepted_floats_rejected(self):
+        """NumPy integer roots and counts run; a whole float does not
+        (``bcast(count=2.0)`` used to fail inside NumPy)."""
+        world, dt, bufs = self.world2()
+        bufs[1].bytes[:] = 7
+        bufs[0].fill(0)
+
+        def program(rank):
+            def run(mpi):
+                yield from bcast(
+                    mpi, bufs[rank], dt, np.int64(1), root=np.int64(1)
+                )
+                yield from alltoallv(
+                    mpi, [bufs[rank]] * 2, dt, [np.int32(0)] * 2,
+                    [bufs[rank]] * 2, dt, [np.int64(0)] * 2,
+                )
+            return run
+
+        world.run({r: program(r) for r in range(2)})
+        assert np.array_equal(bufs[0].bytes, bufs[1].bytes)
+        with pytest.raises(TypeError, match="bcast: count=2.0 "):
+            bcast(world.context(0), bufs[0], dt, 2.0)
 
 
 class TestAllgather:

@@ -330,6 +330,27 @@ def test_alltoall_random_datatype(dt, algo, data):
             ), f"{algo.value}: rank {r} from {src}"
 
 
+@settings(max_examples=10, deadline=None)
+@given(dt=datatypes(), n_ranks=st.integers(2, 4), data=st.randoms())
+def test_bcast_random_datatype(dt, n_ranks, data):
+    world = MpiWorld(Cluster(1, n_ranks), [(0, g) for g in range(n_ranks)])
+    rng = np.random.default_rng(data.randint(0, 2**31))
+    size = max(dt.spans.true_ub, 1) + 64
+    bufs = [world.procs[r].ctx.malloc(size) for r in range(n_ranks)]
+    bufs[0].bytes[:] = rng.integers(0, 255, size, dtype=np.uint8)
+
+    def program(rank):
+        def run(mpi):
+            yield from bcast(mpi, bufs[rank], dt, 1, root=0)
+
+        return run
+
+    world.run({r: program(r) for r in range(n_ranks)})
+    want = pack_bytes(dt, 1, bufs[0].bytes)
+    for r in range(1, n_ranks):
+        assert np.array_equal(pack_bytes(dt, 1, bufs[r].bytes), want)
+
+
 class TestChaos:
     """Seeded AM drops: the retransmit layer must keep results exact."""
 

@@ -34,6 +34,8 @@ def test_but_keeps_validation():
         dict(coll_algorithm=""),
         # the leader-per-node rung, deleted with its executor
         dict(coll_algorithm="hierarchical"),
+        # the one-sided rung, deleted with the RMA windows it shared
+        dict(coll_algorithm="direct"),
         dict(coll_staged_threshold=-1),
     ],
     ids=lambda kw: next(iter(kw.items()))[0] + "=" + str(next(iter(kw.values()))),
@@ -65,7 +67,7 @@ def test_retry_policy_defaults_valid():
 
 @pytest.mark.parametrize(
     "name",
-    ["auto", "pairwise", "nonblocking", "staged", "direct"],
+    ["auto", "pairwise", "nonblocking", "staged"],
 )
 def test_every_ladder_rung_accepted(name):
     assert MpiConfig(coll_algorithm=name).coll_algorithm == name

@@ -75,7 +75,7 @@ class TestScenarios:
         assert res.ok, (res.divergent, res.errors)
 
     def test_coll_ladder_runs_every_executor(self, monkeypatch):
-        """``coll_ladder`` covers all 16 (op, rung) pairs; dropping one
+        """``coll_ladder`` covers all 12 (op, rung) pairs; dropping one
         would leave an executor path unexplored."""
         import repro.mpi.world as world_mod
         from repro.mpi.collectives import CollAlgorithm
@@ -96,7 +96,7 @@ class TestScenarios:
             for op in ("bcast", "gather", "allgather", "alltoallv")
             for rung in CollAlgorithm
         }
-        assert len(want) == 16
+        assert len(want) == 12
         assert ran == want
 
     def test_traffic_replay_stays_off_default_paths(self, monkeypatch):
