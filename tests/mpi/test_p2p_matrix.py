@@ -5,8 +5,8 @@ plan.  Every cell builds a fresh two-rank world and runs the same
 transfer twice back to back (the second run finds warm pools, caches
 and IPC registrations).  A cell delivers byte-exact data, or fails with
 the loud error it expects: a sender-side :class:`IpcOpenError` when every
-CUDA IPC open fails and only the sender can map (``recv_contig`` and
-PUT), never silent corruption.
+CUDA IPC open fails and only the sender can map (``recv_contig``), never
+silent corruption.
 
 Cells whose send buffer is never written run under a recording
 sanitizer, and the codes it reports join their record.
@@ -85,7 +85,6 @@ CONFIGS = {
     "no-zero-copy": _PIPE.but(zero_copy=False),
     "no-ipc": _PIPE.but(use_cuda_ipc=False),
     "no-local-staging": _PIPE.but(receiver_local_staging=False),
-    "put": _PIPE.but(rdma_mode="put"),
     "no-prep-pipeline": _PIPE.but(engine=EngineOptions(pipeline_prep=False)),
     "no-cache": _PIPE.but(engine=EngineOptions(use_cache=False)),
 }
@@ -100,7 +99,7 @@ FAULTS = {
                        ipc_open_fail=0.3, staging_fail=0.3),
 }
 #: the fault plans run on these configs and pairs (every placement)
-FAULT_CONFIGS = ("f4k-d2", "no-zero-copy", "no-local-staging", "put")
+FAULT_CONFIGS = ("f4k-d2", "no-zero-copy", "no-local-staging")
 FAULT_PAIRS = ("T", "C16K", "V-C", "C-V")
 #: unwritten-send-buffer cells (every placement, sanitized)
 UNWRITTEN_CONFIGS = ("f8k-d3", "no-zero-copy")
@@ -114,7 +113,6 @@ LEGS = {
     ("copyinout", "", "copyinout"),
     ("ipc_rdma", "general", ""),
     ("ipc_rdma", "general", "direct_unpack"),
-    ("ipc_rdma", "general_put", ""),
     ("ipc_rdma", "recv_contig", ""),
     ("ipc_rdma", "send_contig", ""),
     ("ipc_rdma", "send_contig", "direct_unpack"),
@@ -122,7 +120,7 @@ LEGS = {
 }
 
 #: BLAKE2b-128 over every cell's record, in cell order
-DIGEST = "27980aa0d8dc65722f2569a856b961c7"
+DIGEST = "b5c43cf4296e7430662286502459c137"
 
 
 def _cells():
@@ -145,8 +143,8 @@ def _expected_failure(placement, pair, config, fault):
 
     With every IPC open failing, a receiver that maps falls back to
     copy-in/out, but a sender that maps (into the receiver's buffer for
-    ``recv_contig``, into its ring under PUT) has no renegotiation path
-    and raises once its retries run out.
+    ``recv_contig``) has no renegotiation path and raises once its
+    retries run out.
     """
     if fault != "ipc_open_fail":
         return None
@@ -163,8 +161,6 @@ def _expected_failure(placement, pair, config, fault):
 
     s_contig, r_contig = contig(sdt, scount), contig(rdt, rcount)
     if r_contig and not s_contig:
-        return IpcOpenError
-    if not (s_contig or r_contig) and cfg.rdma_mode == "put":
         return IpcOpenError
     return None
 
