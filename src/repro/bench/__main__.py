@@ -306,8 +306,6 @@ def main(argv=None) -> int:
             fmt = fmt_time
             if "GB/s" in series.title:
                 fmt = lambda v: f"{v / 1e9:.2f}"  # noqa: E731
-            elif "energy" in series.title:
-                fmt = lambda v: f"{v:.2f}"  # pre-scaled columns # noqa: E731
             series.show(fmt)
     return 0
 

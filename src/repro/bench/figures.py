@@ -25,7 +25,6 @@ from repro.bench.scenarios import (
     transpose_times,
     vc_times,
 )
-from repro.workloads.matrices import submatrix_type
 
 __all__ = ["FIGURES", "run_figure", "run_all"]
 
@@ -140,57 +139,6 @@ def sec54(levels=(0.0, 0.25, 0.5, 0.75, 0.9, 0.97), n=2048) -> Series:
     return series
 
 
-def energy(n: int = 1024) -> Series:
-    """Extension: dynamic energy of a V transfer, GPU engine vs CPU path."""
-    import numpy as np
-
-    from repro.hw.energy import energy_report
-    from repro.hw.node import Cluster
-    from repro.mpi.world import MpiWorld
-
-    series = Series(
-        f"Extension: dynamic energy of one V transfer (N={n})",
-        "path",
-        ["millijoules", "time_ms"],
-    )
-    for label, placements in (
-        ("GPU engine (2 GPUs)", [(0, 0), (0, 1)]),
-        ("CPU datatype engine", [(0, None), (0, None)]),
-    ):
-        cluster = Cluster(1, 2, trace=True)
-        world = MpiWorld(cluster, placements)
-        ld = n + 512
-        V = submatrix_type(n, ld)
-        bufs = []
-        for rank in range(2):
-            proc = world.procs[rank]
-            buf = (
-                proc.ctx.malloc(ld * ld * 8)
-                if proc.gpu is not None
-                else proc.node.host_memory.alloc(ld * ld * 8)
-            )
-            bufs.append(buf)
-        bufs[0].write(np.random.default_rng(0).random(ld * ld))
-
-        def s(mpi):
-            yield mpi.send(bufs[0], V, 1, dest=1, tag=0)
-
-        def r(mpi):
-            yield mpi.recv(bufs[1], V, 1, source=0, tag=0)
-
-        world.run([s, r])
-        cluster.tracer.clear()
-        elapsed = world.run([s, r])
-        rep = energy_report(cluster.tracer)
-        world.close()
-        series.add(
-            label,
-            millijoules=rep.total_joules * 1e3,
-            time_ms=elapsed * 1e3,
-        )
-    return series
-
-
 FIGURES: dict[str, Callable] = {
     "fig6": fig6,
     "fig7": fig7,
@@ -201,7 +149,6 @@ FIGURES: dict[str, Callable] = {
     "fig12": fig12,
     "sec5.3": sec53,
     "sec5.4": sec54,
-    "energy": energy,
 }
 
 

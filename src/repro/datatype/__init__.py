@@ -55,7 +55,6 @@ from repro.datatype.canonical import (
     select_gpu_plan,
 )
 from repro.datatype.convertor import Convertor, pack_bytes, unpack_bytes
-from repro.datatype.numpy_bridge import byte_mask, datatype_from_slice
 
 __all__ = [
     "Primitive",
@@ -86,6 +85,4 @@ __all__ = [
     "Convertor",
     "pack_bytes",
     "unpack_bytes",
-    "byte_mask",
-    "datatype_from_slice",
 ]

@@ -78,11 +78,6 @@ class DevCache:
         self.put_resident = 0
         #: descriptors larger than the whole budget, refused (never resident)
         self.rejected_oversized = 0
-        #: inserts refused because every resident entry was pinned
-        self.rejected_pinned = 0
-        #: key -> set of communicator context ids holding a pin; pinned
-        #: entries are exempt from LRU eviction until every pin is gone
-        self._pins: dict[tuple, set[int]] = {}
         m = metrics if metrics is not None else MetricsRegistry().scoped("cache.")
         self._m_hits = m.counter("hits")
         self._m_misses = m.counter("misses")
@@ -154,10 +149,6 @@ class DevCache:
             self._m_rejected.inc()
             return units
         self._evict_until_fits(need)
-        if self.bytes_cached + need > self.budget_bytes:
-            # every evictable entry is pinned; refuse rather than overflow
-            self.rejected_pinned += 1
-            return units
         dev_buf: Optional[Buffer] = None
         if need > 0:
             dev_buf = self.gpu.memory.alloc(need, label="dev-cache")
@@ -169,23 +160,9 @@ class DevCache:
         return units
 
     def _evict_until_fits(self, need: int) -> None:
-        """LRU-evict (charging symmetrically) until ``need`` bytes fit.
-
-        Pinned entries are skipped; when only pinned entries remain the
-        loop stops and :meth:`put` refuses the insert instead.
-        """
+        """LRU-evict (charging symmetrically) until ``need`` bytes fit."""
         while self.bytes_cached + need > self.budget_bytes and self._entries:
-            victim = None
-            if self._pins:
-                for key in self._entries:  # LRU order
-                    if key not in self._pins:
-                        victim = key
-                        break
-                if victim is None:
-                    break  # everything resident is pinned
-                old, buf = self._entries.pop(victim)
-            else:
-                _, (old, buf) = self._entries.popitem(last=False)
+            _, (old, buf) = self._entries.popitem(last=False)
             self.bytes_cached -= old.descriptor_bytes
             self.bytes_evicted += old.descriptor_bytes
             self.evictions += 1
@@ -195,55 +172,13 @@ class DevCache:
         self._m_bytes.set(self.bytes_cached)
         self._check_invariant()
 
-    # -- pinning -----------------------------------------------------------
-    def pin(
-        self, dt: Datatype, count: int, unit_size: int, comm_id: int = 0
-    ) -> WorkUnits:
-        """Insert (if needed) and pin an entry on behalf of a communicator.
-
-        Pinned entries never leave via LRU eviction — a library that
-        knows a datatype recurs for a communicator's lifetime can keep
-        its descriptors resident.  The contract: release the pin
-        (:meth:`unpin_comm`) before the communicator is freed; the
-        verifier's finalize audit flags pins that outlive their
-        communicator (``verify.cache_pin_leak``).  A refused insert
-        (oversized, or everything else pinned) returns the units
-        uncached and unpinned.
-        """
-        units = self.put(dt, count, unit_size)
-        key = self._key(dt, count, unit_size)
-        if key in self._entries:
-            self._pins.setdefault(key, set()).add(comm_id)
-        return units
-
-    def unpin_comm(self, comm_id: int) -> int:
-        """Drop every pin held by ``comm_id``; returns pins released."""
-        released = 0
-        for key in list(self._pins):
-            pins = self._pins[key]
-            if comm_id in pins:
-                pins.discard(comm_id)
-                released += 1
-                if not pins:
-                    del self._pins[key]
-        return released
-
-    def pinned_entries(self) -> list:
-        """``[(key, frozenset(comm_ids))]`` for every pinned entry."""
-        return [(k, frozenset(v)) for k, v in self._pins.items()]
-
     def clear(self) -> None:
-        """Drop every entry, freeing its device memory (counters kept).
-
-        Pins do not survive a clear — this is a teardown path, not an
-        eviction.
-        """
+        """Drop every entry, freeing its device memory (counters kept)."""
         while self._entries:
             _, (old, buf) = self._entries.popitem(last=False)
             self.bytes_cached -= old.descriptor_bytes
             if buf is not None:
                 buf.free()
-        self._pins.clear()
         self._m_bytes.set(self.bytes_cached)
         self._check_invariant()
 
@@ -254,7 +189,6 @@ class DevCache:
         self.bytes_evicted = 0
         self.put_resident = 0
         self.rejected_oversized = 0
-        self.rejected_pinned = 0
 
     @property
     def resident_bytes(self) -> int:

@@ -43,17 +43,11 @@ class Communicator:
     def free(self) -> None:
         """Release the context id (``MPI_Comm_free``).
 
-        Resources held on the communicator's behalf — e.g. DevCache
-        entries pinned with its context id — must be released *before*
-        the free: the verifier's finalize audit flags pins that outlive
-        their communicator (``verify.cache_pin_leak``).  Idempotent;
-        COMM_WORLD cannot be freed.
+        Idempotent; COMM_WORLD cannot be freed.
         """
         if self.comm_id == 0:
             raise ValueError("COMM_WORLD cannot be freed")
-        if not self.freed:
-            self.freed = True
-            self.world._comm_freed(self.comm_id)
+        self.freed = True
 
     def __repr__(self) -> str:
         tag = "WORLD" if self.comm_id == 0 else f"ctx{self.comm_id}"

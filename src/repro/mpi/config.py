@@ -16,42 +16,10 @@ from repro.faults.plan import FaultSpec
 from repro.gpu_engine.engine import EngineOptions
 from repro.sanitize.options import SanitizeOptions
 
-__all__ = ["MpiConfig", "RetryPolicy"]
+__all__ = ["MpiConfig"]
 
 KB = 1024
 MB = 1024 * KB
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout/retry knobs for the reliability layer (docs/ROBUSTNESS.md).
-
-    A sender arms one retransmit timer per unACKed ``frag`` notification;
-    the timer backs off exponentially (``rto * backoff**attempt``) and the
-    transfer fails with :class:`repro.faults.TransferTimeout` once
-    ``max_retries`` retransmissions go unanswered.  Timers are armed only
-    when a fault plan is active, so fault-free benchmark timelines are
-    untouched.
-    """
-
-    #: base retransmit timeout, seconds (generous: fragments are ~100 us)
-    rto: float = 2e-3
-    #: exponential backoff factor between retransmissions
-    backoff: float = 2.0
-    #: retransmissions per fragment before the transfer fails
-    max_retries: int = 8
-    #: sender-side CUDA IPC open attempts beyond the first
-    ipc_open_retries: int = 4
-
-    def __post_init__(self) -> None:
-        if self.rto <= 0:
-            raise ValueError(f"RetryPolicy.rto must be positive, got {self.rto}")
-        if self.backoff < 1.0:
-            raise ValueError(
-                f"RetryPolicy.backoff must be >= 1, got {self.backoff}"
-            )
-        if self.max_retries < 0 or self.ipc_open_retries < 0:
-            raise ValueError("RetryPolicy retry counts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,11 +43,6 @@ class MpiConfig:
     receiver_local_staging: bool = True
     #: UMA zero-copy for host staging buffers (copy-in/out protocol)
     zero_copy: bool = True
-    #: direction of the general RDMA pipeline (Section 4.1 mentions both):
-    #: "get" — sender packs into its own ring, receiver pulls (default,
-    #: the Fig 4 flow); "put" — receiver exposes its ring, the sender's
-    #: pack kernels write it directly through the mapped window
-    rdma_mode: str = "get"
 
     #: collective algorithm selection (docs/COLLECTIVES.md): one of
     #: "auto", "pairwise", "nonblocking", "staged".  "auto" keeps the
@@ -106,8 +69,6 @@ class MpiConfig:
     #: GPU datatype engine options
     engine: EngineOptions = field(default_factory=EngineOptions)
 
-    #: timeout/retry/backoff for the rendezvous reliability layer
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: fault-injection plan (None = no injection); see repro.faults
     faults: Optional[FaultSpec] = None
     #: correctness checkers (docs/SANITIZERS.md); defaults to the
@@ -128,12 +89,6 @@ class MpiConfig:
             # a zero-credit window can never admit the first fragment
             raise ValueError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
-        if self.rdma_mode not in ("get", "put"):
-            # receiver() dispatches on this string; anything else would
-            # silently fall into the GET branch
-            raise ValueError(
-                f"rdma_mode must be 'get' or 'put', got {self.rdma_mode!r}"
             )
         if self.coll_algorithm not in (
             "auto", "pairwise", "nonblocking", "staged",

@@ -32,27 +32,42 @@ __all__ = [
 ]
 
 
+# Retry policy of the reliability layer (docs/ROBUSTNESS.md).  A sender
+# arms one retransmit timer per unACKed ``frag`` notification, backing off
+# as ``RTO * BACKOFF**attempt``; the transfer fails with
+# TransferTimeout once MAX_RETRIES retransmissions go unanswered.  Timers
+# are armed only when a fault plan is active, so fault-free timelines
+# are untouched.
+#: base retransmit timeout, seconds (generous: fragments are ~100 us)
+RTO = 2e-3
+#: exponential backoff factor between retransmissions and IPC re-opens
+BACKOFF = 2.0
+#: retransmissions per fragment before the transfer fails
+MAX_RETRIES = 8
+#: sender-side CUDA IPC open attempts beyond the first
+IPC_OPEN_RETRIES = 4
+
+
 def open_with_retry(state: "TransferState", handle: IpcMemHandle):
     """Coroutine: CUDA IPC open with bounded retry and backoff.
 
     Used on the *sender* side (and anywhere no renegotiation is
     possible): a failed ``cudaIpcOpenMemHandle`` is retried up to
-    ``config.retry.ipc_open_retries`` times before the error propagates.
+    ``IPC_OPEN_RETRIES`` times before the error propagates.
     Receivers instead fall back to the copy-in/out protocol after a
     single failed attempt (they can still steer the handshake).
     """
     proc = state.proc
-    policy = proc.config.retry
     attempt = 0
     while True:
         try:
             mapped = yield handle.open(proc.gpu, proc.ipc_cache, faults=proc.faults)
             return mapped
         except IpcOpenError:
-            if attempt >= policy.ipc_open_retries:
+            if attempt >= IPC_OPEN_RETRIES:
                 raise
             proc.metrics.counter("pml.ipc_open_retries").inc()
-            yield proc.sim.timeout(policy.rto * policy.backoff**attempt)
+            yield proc.sim.timeout(RTO * BACKOFF**attempt)
             attempt += 1
 
 
@@ -301,7 +316,7 @@ class TransferState:
         is a plain fire-and-forget ``am_send``; with it, an
         exponential-backoff watchdog re-sends the notification while the
         fragment id stays unACKed, and fails the transfer after
-        ``retry.max_retries`` attempts.
+        ``MAX_RETRIES`` attempts.
         """
         if self.reliable and payload is not None:
             # own snapshot: a retransmission must resend the *original*
@@ -324,17 +339,16 @@ class TransferState:
         self.btl.am_send(self.peer("frag"), header, payload=payload, clock=snap)
         if not self.reliable:
             return
-        policy = self.proc.config.retry
-        delay = policy.rto * policy.backoff**attempt
+        delay = RTO * BACKOFF**attempt
 
         def fire() -> None:
             self._retrans_timers.pop(i, None)
             if self._closed or i in self.acked:
                 return
-            if attempt >= policy.max_retries:
+            if attempt >= MAX_RETRIES:
                 exc = TransferTimeout(
                     f"{self.tid}: fragment {i} unACKed after "
-                    f"{policy.max_retries} retransmissions"
+                    f"{MAX_RETRIES} retransmissions"
                 )
                 if self._all_acked is not None and not self._all_acked.done:
                     self._all_acked.fail(exc)

@@ -16,12 +16,10 @@ shortcuts, Section 4.2's copy-in/out):
   receiver picks from both sides' contiguity: ``general`` (the sender
   packs into its device ring, the receiver syncs on a CUDA IPC event,
   optionally copies into a local stage — the 10-15 % of Section 5.2.1 —
-  and unpacks), ``general_put`` (the receiver exposes the ring and the
-  sender's kernels pack into it), ``send_contig`` (the receiver pulls
-  ranges of the sender's buffer under the credit window),
-  ``recv_contig`` (the sender packs straight into the receiver's
-  buffer) and ``both_contig`` (one whole-message GET inside the
-  handshake).
+  and unpacks), ``send_contig`` (the receiver pulls ranges of the
+  sender's buffer under the credit window), ``recv_contig`` (the sender
+  packs straight into the receiver's buffer) and ``both_contig`` (one
+  whole-message GET inside the handshake).
 
 Each side describes its part as one :class:`Leg`, built once per
 transfer; :func:`sender` and :func:`receiver` run every leg and own the
@@ -75,8 +73,8 @@ class Leg:
     of a host or device ring or, when ``linear``, bytes ``[lo:hi]`` of a
     (mapped) user buffer.  ``work`` is the slot the job uses instead
     when ``copy(dst, src)`` moves the fragment between it and ``ring``.
-    ``sync`` is the link a CUDA IPC event wait serializes on, and
-    ``staging`` the pooled ``(kind, buffer, zero_copy)`` triples
+    ``sync`` is the link the receiver's CUDA IPC event wait serializes
+    on, and ``staging`` the pooled ``(kind, buffer, zero_copy)`` triples
     returned when the transfer ends.
     """
 
@@ -137,8 +135,8 @@ def _ipc_link(proc, peer_gpu):
 def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
     """Sender side of every protocol, after the CTS.
 
-    Per fragment: credit -> slot gate (device rings) -> [IPC sync] ->
-    pack into ``work`` -> [copy to ``ring``] -> ``frag`` notification
+    Per fragment: credit -> slot gate (device rings) -> pack into
+    ``work`` -> [copy to ``ring``] -> ``frag`` notification
     ``{i, lo, hi}``, carrying the fragment itself only when it sits in
     host memory.  ``recv_contig`` packs straight into the receiver's
     buffer: no credits, one ``done`` at the end.  Notifications ride the
@@ -155,8 +153,8 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
             done = yield state.inbox.get()
             assert done.header.get("done")
             return state.total
-        if mode != "general":
-            # general_put / recv_contig: map the receiver's exposed memory
+        if mode == "recv_contig":
+            # map the receiver's buffer: the kernels pack straight into it
             mapped = yield from open_with_retry(state, cts["handle"])
     ranges = state.ranges()
     pushed = mode != "recv_contig"
@@ -188,10 +186,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
             if mode == "general":
                 leg.ring = state.ring  # ours, allocated by the PML pre-RTS
             else:
-                leg.ring, leg.linear = mapped, mode == "recv_contig"
-                if not leg.linear:
-                    # cross-process write fence before reusing a remote slot
-                    leg.sync = _ipc_link(proc, cts["handle"].source_gpu)
+                leg.ring, leg.linear = mapped, True
             leg.bind_job(state, "device", "pack")
         ring, work, job = leg.ring, leg.work, leg.job
         wire = protocol != "ipc_rdma"  # the fragment sits in host memory
@@ -206,11 +201,6 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
                 yield state.slot_free(i)
             at = lo if leg.linear else i % depth * frag_bytes
             seg = ring[at : at + hi - lo]
-            if leg.sync is not None:
-                yield leg.sync.transfer(
-                    0, extra_overhead=proc.node.params.ipc_frag_sync_cost,
-                    label="ipc-sync",
-                )
             if job is not None:
                 dst = seg
                 if work is not None:
@@ -265,10 +255,8 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
     mode = ""
     if protocol == "ipc_rdma":
         mode = transfer_mode(s_info, r_info)
-        if mode == "general" and cfg.rdma_mode == "put":
-            mode = "general_put"
         state.stats.mode = mode
-        if mode != "general_put" and mode != "recv_contig":
+        if mode != "recv_contig":
             # map the sender's ring or buffer (registration cached)
             try:
                 leg.ring = yield s_info.handle.open(
@@ -282,10 +270,7 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
                 state.stats.fallback = "copyinout"
     if mode:
         cts["mode"] = mode
-    if mode == "general_put":
-        leg.ring = leg.stage(state, "device")
-        cts["handle"] = IpcMemHandle.get(leg.ring)
-    elif mode == "recv_contig":
+    if mode == "recv_contig":
         r_info.handle = cts["handle"] = IpcMemHandle.get(state.buf)
     elif mode == "general" or mode == "send_contig":
         sender_gpu = s_info.handle.source_gpu

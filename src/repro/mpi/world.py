@@ -138,11 +138,9 @@ class MpiWorld:
         self._barrier_snap: Optional[dict] = None
         #: verifier bookkeeping (see repro.sanitize.verify): requests
         #: tracked for the finalize audit (populated only while the
-        #: verifier is installed), barrier wait tokens, and freed context
-        #: ids
+        #: verifier is installed) and barrier wait tokens
         self._verify_requests: list[Request] = []
         self._barrier_toks: list[int] = []
-        self._freed_comms: set[int] = set()
         #: simulator-counter baselines for the current stats window — the
         #: shared clock may predate (or outlive) this world, so ``stats()``
         #: reports deltas from here rather than the simulator's lifetime
@@ -249,11 +247,11 @@ class MpiWorld:
         With the verifier installed (``REPRO_SANITIZE=verify``/``all``),
         audits the world for leaked resources — never-completed requests,
         unmatched posted receives, undrained unexpected messages, open
-        re-sequencer gaps, DevCache entries pinned past their
-        communicator — recording each finding as a
-        ``verify.*`` violation (raising on the first one in raise mode)
-        and bumping ``verify.audit.*`` world metrics.  Returns the
-        findings; a no-op returning ``[]`` when the verifier is off.
+        re-sequencer gaps, waiters left in a barrier — recording each
+        finding as a ``verify.*`` violation (raising on the first one in
+        raise mode) and bumping ``verify.audit.*`` world metrics.
+        Returns the findings; a no-op returning ``[]`` when the verifier
+        is off.
         """
         if _san.VERIFY is None:
             return []
@@ -276,10 +274,6 @@ class MpiWorld:
         self.procs._slots.clear()
         self.procs._world = None
         self.comm_world.world = None
-
-    def _comm_freed(self, comm_id: int) -> None:
-        """Record a freed context id (the pin audit checks against it)."""
-        self._freed_comms.add(comm_id)
 
     # -- observability ---------------------------------------------------------
     def stats(self) -> WorldStats:

@@ -14,8 +14,7 @@ Three coordinated layers (enable with ``REPRO_SANITIZE=verify`` or
 
 2. **Finalize-time resource audit** — :meth:`repro.mpi.world.MpiWorld.finalize`
    calls :func:`repro.sanitize.verify.audit.audit_world` to flag
-   unmatched posted receives, never-completed requests, and DevCache
-   entries pinned past their communicator.
+   unmatched posted receives and never-completed requests.
 
 3. **Schedule-perturbation explorer** —
    ``python -m repro.sanitize.explore`` (see

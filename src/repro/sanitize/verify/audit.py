@@ -19,9 +19,6 @@ with nothing outstanding; everything still live is a finding:
     (a dropped or never-sent pair_seq) never closed.
 ``verify.barrier_incomplete``
     Ranks left waiting inside the scaffolding barrier.
-``verify.cache_pin_leak``
-    DevCache entries still pinned at teardown — including pins whose
-    communicator was already freed (pinned *past* their communicator).
 
 Every finding also bumps a ``verify.audit.<kind>`` counter (plus
 ``verify.audit.findings``) in ``world.metrics``, so the audit surfaces
@@ -31,16 +28,7 @@ export alongside every other world metric.
 
 from __future__ import annotations
 
-import hashlib
-
 __all__ = ["audit_world", "matching_residue"]
-
-
-def _key_label(key: tuple) -> str:
-    """Short stable label for a DevCache canonical key: ``kind/1a2b3c4d``."""
-    digest = hashlib.blake2b(repr(key).encode(), digest_size=4).hexdigest()
-    kind = key[0][0] if key and key[0] else "?"
-    return f"{kind}/{digest}"
 
 
 def _count(world, kind: str) -> None:
@@ -138,29 +126,4 @@ def audit_world(world, verifier) -> list:
             "barrier",
         )
 
-    # -- DevCache pins -------------------------------------------------------
-    for proc in world.procs.materialized():
-        engine = proc._engine
-        if engine is None:
-            continue
-        for key, comm_ids in engine.cache.pinned_entries():
-            label = _key_label(key)
-            past = sorted(c for c in comm_ids if c in world._freed_comms)
-            live = sorted(c for c in comm_ids if c not in world._freed_comms)
-            if past:
-                rec(
-                    "verify.cache_pin_leak",
-                    "cache_pin_leak",
-                    f"rank {proc.rank} DevCache entry {label} pinned past "
-                    f"freed communicator(s) {past}",
-                    f"r{proc.rank}",
-                )
-            if live:
-                rec(
-                    "verify.cache_pin_leak",
-                    "cache_pin_leak",
-                    f"rank {proc.rank} DevCache entry {label} still pinned "
-                    f"at finalize by communicator(s) {live}",
-                    f"r{proc.rank}",
-                )
     return found

@@ -11,7 +11,7 @@ from repro.bench.figures import FIGURES, run_figure
 class TestFigures:
     def test_registry_covers_evaluation(self):
         for name in ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                     "fig12", "sec5.3", "sec5.4", "energy"):
+                     "fig12", "sec5.3", "sec5.4"):
             assert name in FIGURES
 
     def test_run_figure_returns_series(self):

@@ -1,13 +1,12 @@
-"""MpiConfig / RetryPolicy / EngineOptions constructor validation (fail
-fast, not deep inside a protocol coroutine with a cryptic
-ZeroDivisionError)."""
+"""MpiConfig / EngineOptions constructor validation (fail fast, not deep
+inside a protocol coroutine with a cryptic ZeroDivisionError)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.gpu_engine.engine import EngineOptions
-from repro.mpi.config import MpiConfig, RetryPolicy
+from repro.mpi.config import MpiConfig
 
 
 def test_defaults_are_valid():
@@ -29,7 +28,6 @@ def test_but_keeps_validation():
         dict(frag_bytes=-1),
         dict(pipeline_depth=0),
         dict(eager_limit=-1),
-        dict(rdma_mode="push"),
         dict(coll_algorithm="bruck"),
         dict(coll_algorithm=""),
         # the leader-per-node rung, deleted with its executor
@@ -45,24 +43,14 @@ def test_bad_config_rejected(kw):
         MpiConfig(**kw)
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(rto=0.0),
-        dict(rto=-1.0),
-        dict(backoff=0.5),
-        dict(max_retries=-1),
-        dict(ipc_open_retries=-1),
-    ],
-)
-def test_bad_retry_policy_rejected(kw):
-    with pytest.raises(ValueError):
-        RetryPolicy(**kw)
-
-
-def test_retry_policy_defaults_valid():
-    rp = RetryPolicy()
-    assert rp.rto > 0 and rp.backoff >= 1.0 and rp.max_retries >= 0
+def test_removed_fields_rejected():
+    """The PUT pipeline direction and the retry policy are not options:
+    the pipeline is GET-driven, and the retry timings are module
+    constants of ``repro.mpi.protocols.common``."""
+    with pytest.raises(TypeError):
+        MpiConfig(rdma_mode="put")
+    with pytest.raises(TypeError):
+        MpiConfig(retry=None)
 
 
 @pytest.mark.parametrize(

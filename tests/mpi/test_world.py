@@ -15,7 +15,7 @@ from repro.cuda.uma import is_mapped_host
 from repro.datatype.convertor import Convertor, pack_bytes
 from repro.datatype.ddt import contiguous, vector
 from repro.datatype.primitives import BYTE, DOUBLE
-from repro.faults.plan import FaultSpec, IpcOpenError
+from repro.faults.plan import FaultSpec, TransferTimeout
 from repro.hw.node import Cluster
 from repro.mpi.btl.base import Btl
 from repro.mpi.config import MpiConfig
@@ -831,13 +831,15 @@ class TestWorldClose:
             gc.enable()
 
     def test_closed_process_frees_staging_returned_late(self, monkeypatch):
-        """A PUT receiver whose sender raised ``IpcOpenError`` is still
-        parked when its world closes.  The collector finalizes it later,
-        and the ring it returns is freed, not put back into the pools
-        ``close()`` cleared (which raised ``KeyError`` in the finalizer)."""
+        """A GET receiver whose sender raised ``TransferTimeout`` (every
+        fragment notification dropped) is still parked, holding its
+        local stage, when its world closes.  The collector finalizes it
+        later, and the stage it returns is freed, not put back into the
+        pools ``close()`` cleared (which raised ``KeyError`` in the
+        finalizer)."""
         config = MpiConfig(
-            rdma_mode="put", frag_bytes=8192, pipeline_depth=3,
-            faults=FaultSpec(seed=1, ipc_open_fail=1.0),
+            frag_bytes=8192, pipeline_depth=3,
+            faults=FaultSpec(seed=1, am_drop=1.0, targets=("frag",)),
         )
         world = make_world("sm-2gpu", config)
         V = vector(64, 32, 48, DOUBLE).commit()
@@ -846,7 +848,7 @@ class TestWorldClose:
         in_use = gpu.memory.bytes_in_use
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with pytest.raises(IpcOpenError):
+        with pytest.raises(TransferTimeout):
             one_way(world, b0, V, 1, b1, V, 1)
         world.close()
         del world

@@ -74,8 +74,9 @@ def test_ghost_slot_unpack_caught(cluster):
 def test_slot_reuse_without_ack_caught(monkeypatch):
     """Bug: the sender repacks a ring slot without waiting for the ACK of
     the fragment that previously lived there (the slot_free gate from
-    docs/ROBUSTNESS.md removed) — under dropped messages the retransmit
-    path then overlaps a slot the receiver is still unpacking."""
+    docs/ROBUSTNESS.md removed) — under dropped messages the sender's
+    repack of its device ring then overlaps a slot the receiver is still
+    pulling from.  64 KB in 32 fragments of 2 KB over 4 slots."""
     from repro.faults.plan import FaultSpec
     from repro.mpi.config import MpiConfig
     from repro.mpi.protocols.common import TransferState
@@ -88,15 +89,16 @@ def test_slot_reuse_without_ack_caught(monkeypatch):
         return fut
 
     monkeypatch.setattr(TransferState, "slot_free", no_gate)
+    dt = vector(256, 32, 48, DOUBLE).commit()
     with sanitize.enabled(SanitizeOptions.all(mode="record")) as rep:
         faulted_roundtrip(
             "sm-2gpu",
             MpiConfig(
                 frag_bytes=2048,
                 eager_limit=0,
-                rdma_mode="put",
                 faults=FaultSpec(seed=11, am_drop=0.25),
             ),
+            dt=dt,
         )
     races = rep.by_code("race.unordered_access")
     assert races, "removing the slot_free gate must surface the ring race"

@@ -209,53 +209,6 @@ class TestFinalizeAudit:
             with pytest.raises(SanitizerError):
                 env.world.finalize()
 
-    def test_cache_pin_past_freed_comm_flagged(self):
-        from repro.workloads.matrices import lower_triangular_type
-
-        dt = lower_triangular_type(64)
-        with _verify():
-            env = make_env("sm-2gpu")
-            proc = env.world.procs[0]
-            comm = env.world.comm_world.dup()
-            unit = proc.gpu.params.dev_unit_size
-            proc.engine.cache.pin(dt, 1, unit, comm_id=comm.comm_id)
-            comm.free()  # pin not released first: the seeded bug
-            findings = env.world.finalize()
-        pins = [v for v in findings if v.code == "verify.cache_pin_leak"]
-        assert pins and "pinned past freed communicator" in pins[0].message
-
-    def test_cache_unpin_before_free_is_clean(self):
-        from repro.workloads.matrices import lower_triangular_type
-
-        dt = lower_triangular_type(64)
-        with _verify() as rep:
-            env = make_env("sm-2gpu")
-            proc = env.world.procs[0]
-            comm = env.world.comm_world.dup()
-            unit = proc.gpu.params.dev_unit_size
-            proc.engine.cache.pin(dt, 1, unit, comm_id=comm.comm_id)
-            assert proc.engine.cache.unpin_comm(comm.comm_id) == 1
-            comm.free()
-            assert env.world.finalize() == []
-        assert not rep.violations
-
-    def test_pinned_entries_survive_eviction_pressure(self):
-        """A pinned descriptor must not leave via LRU eviction."""
-        from repro.gpu_engine.cache import DevCache
-        from repro.workloads.matrices import lower_triangular_type
-
-        env = make_env("sm-2gpu")
-        gpu = env.world.procs[0].gpu
-        unit = gpu.params.dev_unit_size
-        pinned_dt = lower_triangular_type(64)
-        cache = DevCache(gpu, budget_bytes=8 * 1024)
-        pinned_units = cache.pin(pinned_dt, 1, unit, comm_id=3)
-        assert cache.pinned_entries()
-        for n in (65, 66, 67, 68):
-            cache.put(lower_triangular_type(n), 1, unit)
-        # the pinned entry is still resident and identical
-        assert cache.get(pinned_dt, 1, unit) is pinned_units
-
     def test_audit_metrics_bumped(self):
         dt = contiguous(64, DOUBLE).commit()
         with _verify():
