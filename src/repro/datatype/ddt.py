@@ -35,6 +35,7 @@ __all__ = [
     "resized",
     "require_datatypes",
     "require_ints",
+    "require_lists",
 ]
 
 # Per-object identity counter.  INTERNAL to repro.datatype: it is unique
@@ -320,6 +321,17 @@ def require_ints(call: str, **args) -> None:
                 f"{call}: {name}={value!r} is a {type(value).__name__}, "
                 "not an integer"
             ) from None
+
+
+def require_lists(call: str, **args) -> None:
+    """Raise ``TypeError`` naming ``call`` and the first of ``args`` that
+    has no length: buffer and count lists take one entry per rank."""
+    for name, value in args.items():
+        if not hasattr(value, "__len__"):
+            raise TypeError(
+                f"{call}: {name}={value!r} is a {type(value).__name__}, "
+                "not a list"
+            )
 
 
 _PRIM_CACHE: dict[str, Datatype] = {}

@@ -23,7 +23,10 @@ import numpy as np
 
 from repro.sanitize import runtime as _san
 
-__all__ = ["MemoryKind", "OutOfMemory", "Memory", "Allocation", "Buffer"]
+__all__ = [
+    "MemoryKind", "OutOfMemory", "Memory", "Allocation", "Buffer",
+    "require_buffers",
+]
 
 
 class MemoryKind(enum.Enum):
@@ -302,3 +305,15 @@ class Buffer:
             f"Buffer({self.memory.name}#{self.allocation.alloc_id}"
             f"[{self.offset}:{self.offset + self.nbytes}]{tag})"
         )
+
+
+def require_buffers(call: str, **args) -> None:
+    """Raise ``TypeError`` naming ``call`` and the first of ``args`` that
+    is not a :class:`Buffer`.  Callers test ``type(x) is Buffer`` inline
+    and call this only when that fails."""
+    for name, value in args.items():
+        if type(value) is not Buffer:
+            raise TypeError(
+                f"{call}: {name}={value!r} is a {type(value).__name__}, "
+                "not a Buffer"
+            )

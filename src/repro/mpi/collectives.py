@@ -58,10 +58,11 @@ from repro.datatype.ddt import (
     contiguous,
     require_datatypes,
     require_ints,
+    require_lists,
     struct,
 )
 from repro.datatype.primitives import BYTE, PREDEFINED
-from repro.hw.memory import Buffer
+from repro.hw.memory import Buffer, require_buffers
 from repro.mpi.pml import _times
 from repro.sanitize import runtime as _san
 
@@ -470,6 +471,8 @@ def bcast(
         )
     if count < 0:
         raise ValueError(f"bcast: count={count} is negative")
+    if type(buf) is not Buffer:
+        require_buffers("bcast", buf=buf)
     nbytes = dt.size * count
     block = (buf, dt, count)
 
@@ -514,6 +517,8 @@ def gather(
         )
     if send_count < 0:
         raise ValueError(f"gather: send_count={send_count} is negative")
+    if type(sendbuf) is not Buffer:
+        require_buffers("gather", sendbuf=sendbuf)
     nbytes = send_dt.size * send_count
     recvs = None
     if mpi.rank == root:
@@ -528,6 +533,8 @@ def gather(
                 "gather: recv_count must be a positive element count at "
                 f"the root, got {recv_count!r}"
             )
+        if not hasattr(recvbufs, "__len__"):
+            require_lists("gather", recvbufs=recvbufs)
         if len(recvbufs) != mpi.size:
             raise ValueError(
                 f"gather: root needs one recv buffer per rank "
@@ -538,6 +545,9 @@ def gather(
         except AttributeError:
             require_datatypes("gather", recv_dt=recv_dt)
             raise
+        for i, b in enumerate(recvbufs):
+            if type(b) is not Buffer:
+                require_buffers("gather", **{f"recvbufs[{i}]": b})
         recvs = [(b, recv_dt, recv_count) for b in recvbufs]
     send = (sendbuf, send_dt, send_count)
 
@@ -576,6 +586,10 @@ def allgather(
     if not (type(send_count) is type(recv_count) is int):
         require_ints("allgather", send_count=send_count, recv_count=recv_count)
     size = mpi.size
+    if type(sendbuf) is not Buffer:
+        require_buffers("allgather", sendbuf=sendbuf)
+    if not hasattr(recvbufs, "__len__"):
+        require_lists("allgather", recvbufs=recvbufs)
     if len(recvbufs) != size:
         raise ValueError(
             f"allgather: one recv buffer per rank ({size}) is "
@@ -586,6 +600,9 @@ def allgather(
             f"allgather: counts must be >= 0, got send_count={send_count}, "
             f"recv_count={recv_count}"
         )
+    for i, b in enumerate(recvbufs):
+        if type(b) is not Buffer:
+            require_buffers("allgather", **{f"recvbufs[{i}]": b})
     nbytes = send_dt.size * send_count
     # one block object for every peer: the staged rung packs it once
     sends = [(sendbuf, send_dt, send_count)] * size
@@ -645,6 +662,10 @@ def alltoallv(
     pairs.  Coroutine: ``yield from alltoallv(...)``.  Returns the bytes
     moved per rank (``send_dt.size * sum(send_counts)``).
     """
+    if not (hasattr(send_counts, "__len__") and hasattr(recv_counts, "__len__")):
+        require_lists(
+            "alltoallv", send_counts=send_counts, recv_counts=recv_counts
+        )
     send_counts = list(send_counts)
     recv_counts = list(recv_counts)
     for name, counts in (
@@ -674,6 +695,8 @@ def _alltoall_common(
     except AttributeError:
         require_datatypes(op, send_dt=send_dt, recv_dt=recv_dt)
         raise
+    if not (hasattr(sendbufs, "__len__") and hasattr(recvbufs, "__len__")):
+        require_lists(op, sendbufs=sendbufs, recvbufs=recvbufs)
     if len(sendbufs) != size or len(recvbufs) != size:
         raise ValueError(
             f"{op}: one send and one recv buffer per rank ({size}) is "
@@ -689,6 +712,10 @@ def _alltoall_common(
     # a block object per peer, even where the buffers alias
     sends = list(zip(sendbufs, repeat(send_dt), send_counts))
     recvs = list(zip(recvbufs, repeat(recv_dt), recv_counts))
+    for name, bufs in (("sendbufs", sendbufs), ("recvbufs", recvbufs)):
+        for i, b in enumerate(bufs):
+            if type(b) is not Buffer:
+                require_buffers(op, **{f"{name}[{i}]": b})
     any_device = False
     for buf, _dt, count in sends + recvs:
         if count and buf.is_device:

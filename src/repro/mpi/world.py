@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.datatype.ddt import Datatype, require_ints
 from repro.faults.plan import FaultPlan
-from repro.hw.memory import Buffer
+from repro.hw.memory import Buffer, require_buffers
 from repro.hw.node import Cluster
 from repro.mpi import pml
 from repro.mpi.comm import Communicator
@@ -437,6 +437,10 @@ class RankContext:
             raise ValueError(f"isend: count={count} is negative")
         if tag < 0:
             raise ValueError(f"isend: tag={tag} is negative")
+        if type(buf) is not Buffer:
+            require_buffers("isend", buf=buf)
+        if comm is not None and type(comm) is not Communicator:
+            raise TypeError(f"isend: comm={comm!r} is not a Communicator")
         comm_id = comm.comm_id if comm is not None else 0
         # pml.isend commits the datatype first: a non-Datatype fails there,
         # named, before its size is read
@@ -472,6 +476,10 @@ class RankContext:
             raise ValueError(f"irecv: count={count} is negative")
         if tag < 0 and tag != ANY_TAG:
             raise ValueError(f"irecv: tag={tag} is neither ANY_TAG nor >= 0")
+        if type(buf) is not Buffer:
+            require_buffers("irecv", buf=buf)
+        if comm is not None and type(comm) is not Communicator:
+            raise TypeError(f"irecv: comm={comm!r} is not a Communicator")
         comm_id = comm.comm_id if comm is not None else 0
         fut = pml.irecv(
             self.world, self.proc, buf, datatype, count, source, tag, comm_id

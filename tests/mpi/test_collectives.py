@@ -341,6 +341,40 @@ class TestBadArguments:
         with pytest.raises(TypeError, match=f"{call}: {arg}=MPI_BYTE "):
             calls[call]()
 
+    @pytest.mark.parametrize("call, match", [
+        ("bcast", r"bcast: buf=None "),
+        ("gather", r"gather: recvbufs=5 is a int, not a list"),
+        ("gather entry", r"gather: recvbufs\[1\]=None "),
+        ("allgather", r"allgather: recvbufs\[1\]=None "),
+        ("allgather sendbuf", r"allgather: sendbuf=2.5 "),
+        ("alltoall", r"alltoall: sendbufs\[0\]=None "),
+        ("alltoallv", r"alltoallv: send_counts=None is a NoneType, not a list"),
+    ])
+    def test_bad_buffer_or_list(self, call, match):
+        """These used to fail as ``AttributeError: 'NoneType' object has
+        no attribute 'is_device'`` (bcast) or ``'is_host'`` (allgather),
+        "object of type 'int' has no len()" (gather) and "'NoneType'
+        object is not iterable" (alltoallv), naming neither the call nor
+        the argument."""
+        world, dt, bufs = self.world2()
+        mpi = world.context(0)
+        calls = {
+            "bcast": lambda: bcast(mpi, None, dt, 1),
+            "gather": lambda: gather(mpi, bufs[0], dt, 1, 5, dt, 1),
+            "gather entry": lambda: gather(
+                mpi, bufs[0], dt, 1, [bufs[0], None], dt, 1
+            ),
+            "allgather": lambda: allgather(
+                mpi, bufs[0], dt, 1, [bufs[0], None], dt, 1
+            ),
+            "allgather sendbuf": lambda: allgather(mpi, 2.5, dt, 1, bufs, dt, 1),
+            "alltoall": lambda: alltoall(mpi, [None, bufs[1]], dt, 1, bufs, dt, 1),
+            "alltoallv": lambda: alltoallv(mpi, bufs, dt, None, bufs, dt, [1, 1]),
+        }
+        with pytest.raises(TypeError, match=match):
+            calls[call]()
+        assert world.sim.events_processed == 0
+
     @pytest.mark.parametrize("call, arg, value", [
         ("bcast", "root", None),
         ("bcast", "count", None),

@@ -292,6 +292,30 @@ class TestArgumentValidation:
             getattr(mpi, call)(mpi.host_alloc(8), BYTE, 8, 1)
         assert world.procs[0].matching.posted_count == 0
 
+    @pytest.mark.parametrize("call", ["isend", "irecv"])
+    def test_buffer_not_a_buffer(self, call):
+        """``isend(None, ...)`` used to raise ``AttributeError:
+        'NoneType' object has no attribute 'is_host'``; ``irecv(None,
+        ...)`` was posted and failed so only when a message arrived."""
+        world = MpiWorld(Cluster(1, 2), [(0, 0), (0, 1)])
+        mpi = world.context(0)
+        with pytest.raises(TypeError, match=f"{call}: buf=None "):
+            getattr(mpi, call)(None, contiguous(8, BYTE).commit(), 1, 1)
+        assert world.procs[0].matching.posted_count == 0
+        assert world.sim.events_processed == 0
+
+    @pytest.mark.parametrize("call", ["isend", "irecv"])
+    def test_comm_not_a_communicator(self, call):
+        """``isend(..., comm=3)`` used to raise ``AttributeError: 'int'
+        object has no attribute 'comm_id'``."""
+        world = MpiWorld(Cluster(1, 2), [(0, 0), (0, 1)])
+        mpi = world.context(0)
+        buf = mpi.device_alloc(8)
+        with pytest.raises(TypeError, match=f"{call}: comm=3 "):
+            getattr(mpi, call)(buf, contiguous(8, BYTE).commit(), 1, 1,
+                               comm=3)
+        assert world.sim.events_processed == 0
+
     @pytest.mark.parametrize("shape, arg", [
         ((0, 1), "n_nodes=0 "), ((-1, 1), "n_nodes=-1 "),
         ((2, -1), "gpus_per_node=-1 "),
