@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
+from repro import bytemove
 from repro.hw.gpu import Gpu, Stream
 from repro.hw.memory import Buffer
 from repro.sim.core import Future
@@ -122,13 +123,15 @@ class CudaContext:
         if kind is MemcpyKind.H2D:
             return self.gpu.memcpy_h2d(dst, src, stream=stream)
         # H2H goes through the host CPU
+        nbytes = src.nbytes
+        if dst.nbytes < nbytes:
+            raise ValueError("memcpyH2H: destination smaller than source")
         node = self.gpu.node
         if node is None:
             raise RuntimeError("H2H memcpy requires a node")
-        nbytes = src.nbytes
 
         def move() -> None:
-            dst.bytes[:nbytes] = src.bytes
+            bytemove.move(dst.bytes[:nbytes], src.bytes)
 
         return node.cpu_memcpy_op(nbytes, fn=move, label="memcpyH2H")
 

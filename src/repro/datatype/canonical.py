@@ -267,6 +267,7 @@ class StreamPlan:
         "lattice",
         "cpu_plan",
         "gpu_plan",
+        "increasing",
         "_gather",
     )
 
@@ -293,6 +294,9 @@ class StreamPlan:
         self.cpu_plan = select_cpu_plan(form, unit, lattice=self.lattice)
         #: cheapest GPU plan when the DEV-path ablation does not pin it
         self.gpu_plan = select_gpu_plan(form)
+        #: the gather map is strictly increasing, so a scatter over it
+        #: writes each element once and may split (set with the map)
+        self.increasing = False
         self._gather: Optional[np.ndarray] = None
 
     def gather_map(self) -> np.ndarray:
@@ -300,7 +304,9 @@ class StreamPlan:
         packed element.  Built on first use — the memcpy and strided plans
         never need it (for a 4096^2 sub-matrix it is 16M int64 entries)."""
         if self._gather is None:
-            self._gather = _spans_to_indices(self.spans, self.unit)
+            idx = _spans_to_indices(self.spans, self.unit)
+            self.increasing = bool((idx[1:] > idx[:-1]).all())
+            self._gather = idx
         return self._gather
 
     def __repr__(self) -> str:

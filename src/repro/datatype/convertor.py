@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import bytemove
 from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
@@ -152,14 +153,16 @@ class Convertor:
     def _memcpy(self, buf: np.ndarray, lo: int, hi: int) -> None:
         a = self._origin + lo
         if self._packing:
-            buf[:] = self.user[a : a + hi - lo]
+            bytemove.move(buf, self.user[a : a + hi - lo])
         else:
-            self.user[a : a + hi - lo] = buf
+            bytemove.move(self.user[a : a + hi - lo], buf)
 
     def _strided(self, buf: np.ndarray, lo: int, hi: int) -> None:
         """Every fragment of a lattice decomposes into (head partial row,
         whole rows, tail partial row) — three NumPy slice copies instead
-        of a fancy-index gather over every element."""
+        of a fancy-index gather over every element.  The partial rows are
+        at most one row each and move inline; the rest go to the byte
+        mover, which tests the whole fragment's size."""
         rows = self._rows()
         epb = rows.shape[1]
         o = buf.view(rows.dtype)
@@ -168,9 +171,9 @@ class Convertor:
         r1, c1 = divmod(hi // self._unit, epb)
         if r0 == r1:
             if pack:
-                o[:] = rows[r0, c0:c1]
+                bytemove.move(o, rows[r0, c0:c1])
             else:
-                rows[r0, c0:c1] = o
+                bytemove.move(rows[r0, c0:c1], o)
             return
         pos = 0
         if c0:
@@ -185,9 +188,9 @@ class Convertor:
         if nmid > 0:
             mid = o[pos : pos + nmid * epb].reshape(nmid, epb)
             if pack:
-                mid[:] = rows[r0:r1]
+                bytemove.move(mid, rows[r0:r1], hi - lo)
             else:
-                rows[r0:r1] = mid
+                bytemove.move(rows[r0:r1], mid, hi - lo)
             pos += nmid * epb
         if c1:
             if pack:
@@ -201,12 +204,15 @@ class Convertor:
         if self._packing:
             # straight into ``buf``; unchecked ("clip") only when every
             # index is known to lie inside the buffer
-            self._elems().take(
-                idx, out=buf.view(_unit_dtype(u)),
-                mode="clip" if self._fits else "raise",
+            bytemove.take(
+                self._elems(), idx, buf.view(_unit_dtype(u)),
+                "clip" if self._fits else "raise",
             )
         else:
-            self._elems()[idx] = buf.view(_unit_dtype(u))
+            bytemove.scatter(
+                self._elems(), idx, buf.view(_unit_dtype(u)),
+                self.stream_plan.increasing,
+            )
 
     def _bytes(self, buf: np.ndarray, lo: int, hi: int) -> None:
         """The gather at byte granularity: the unit map's slice covering

@@ -36,6 +36,7 @@ __all__ = [
     "require_datatypes",
     "require_ints",
     "require_lists",
+    "require_fit",
 ]
 
 # Per-object identity counter.  INTERNAL to repro.datatype: it is unique
@@ -332,6 +333,20 @@ def require_lists(call: str, **args) -> None:
                 f"{call}: {name}={value!r} is a {type(value).__name__}, "
                 "not a list"
             )
+
+
+def require_fit(
+    call: str, count_arg: str, count: int, buf_arg: str, buf, reach: int
+) -> None:
+    """Raise ``ValueError`` naming ``call`` and its arguments when
+    ``count`` elements, whose layout reaches byte ``reach``, do not fit
+    ``buf``.  Callers read ``reach`` inline from the cached stream plan
+    (``true_ub``) and call this only when it passes the buffer's end."""
+    if reach > buf.nbytes:
+        raise ValueError(
+            f"{call}: {count_arg}={count} elements reach byte {reach}, "
+            f"past the end of {buf_arg} ({buf.nbytes} bytes)"
+        )
 
 
 _PRIM_CACHE: dict[str, Datatype] = {}

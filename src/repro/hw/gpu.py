@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro import bytemove
 from repro.hw.memory import Buffer, Memory, MemoryKind
 from repro.hw.params import GpuParams
 from repro.sanitize import runtime as _san
@@ -357,7 +358,7 @@ class Gpu:
             # propagates (the .bytes accessors handle use-after-free);
             # uninit *reads* are flagged where bytes are interpreted --
             # pack/unpack kernels and the CPU pipeline stages
-            dst.bytes[:nbytes] = src.bytes
+            bytemove.move(dst.bytes[:nbytes], src.bytes)
 
         return stream.enqueue(
             self.memcpy_time(nbytes),
@@ -388,7 +389,7 @@ class Gpu:
             # propagates (the .bytes accessors handle use-after-free);
             # uninit *reads* are flagged where bytes are interpreted --
             # pack/unpack kernels and the CPU pipeline stages
-            dst.bytes[:nbytes] = src.bytes
+            bytemove.move(dst.bytes[:nbytes], src.bytes)
 
         return stream.enqueue(
             duration,

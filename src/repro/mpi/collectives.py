@@ -53,10 +53,12 @@ from enum import Enum
 from itertools import repeat
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.datatype.canonical import stream_plan
 from repro.datatype.ddt import (
     Datatype,
     contiguous,
     require_datatypes,
+    require_fit,
     require_ints,
     require_lists,
     struct,
@@ -473,6 +475,10 @@ def bcast(
         raise ValueError(f"bcast: count={count} is negative")
     if type(buf) is not Buffer:
         require_buffers("bcast", buf=buf)
+    # the layout's reach, from the cached stream plan (as in isend)
+    reach = (dt._plans.get(count) or stream_plan(dt, count)).true_ub
+    if reach > buf.nbytes:
+        require_fit("bcast", "count", count, "buf", buf, reach)
     nbytes = dt.size * count
     block = (buf, dt, count)
 
@@ -519,6 +525,11 @@ def gather(
         raise ValueError(f"gather: send_count={send_count} is negative")
     if type(sendbuf) is not Buffer:
         require_buffers("gather", sendbuf=sendbuf)
+    reach = (send_dt._plans.get(send_count)
+             or stream_plan(send_dt, send_count)).true_ub
+    if reach > sendbuf.nbytes:
+        require_fit("gather", "send_count", send_count, "sendbuf", sendbuf,
+                    reach)
     nbytes = send_dt.size * send_count
     recvs = None
     if mpi.rank == root:
@@ -545,9 +556,14 @@ def gather(
         except AttributeError:
             require_datatypes("gather", recv_dt=recv_dt)
             raise
+        reach = (recv_dt._plans.get(recv_count)
+                 or stream_plan(recv_dt, recv_count)).true_ub
         for i, b in enumerate(recvbufs):
             if type(b) is not Buffer:
                 require_buffers("gather", **{f"recvbufs[{i}]": b})
+            if reach > b.nbytes:
+                require_fit("gather", "recv_count", recv_count,
+                            f"recvbufs[{i}]", b, reach)
         recvs = [(b, recv_dt, recv_count) for b in recvbufs]
     send = (sendbuf, send_dt, send_count)
 
@@ -600,9 +616,19 @@ def allgather(
             f"allgather: counts must be >= 0, got send_count={send_count}, "
             f"recv_count={recv_count}"
         )
+    reach = (send_dt._plans.get(send_count)
+             or stream_plan(send_dt, send_count)).true_ub
+    if reach > sendbuf.nbytes:
+        require_fit("allgather", "send_count", send_count, "sendbuf",
+                    sendbuf, reach)
+    reach = (recv_dt._plans.get(recv_count)
+             or stream_plan(recv_dt, recv_count)).true_ub
     for i, b in enumerate(recvbufs):
         if type(b) is not Buffer:
             require_buffers("allgather", **{f"recvbufs[{i}]": b})
+        if reach > b.nbytes:
+            require_fit("allgather", "recv_count", recv_count,
+                        f"recvbufs[{i}]", b, reach)
     nbytes = send_dt.size * send_count
     # one block object for every peer: the staged rung packs it once
     sends = [(sendbuf, send_dt, send_count)] * size
@@ -712,10 +738,23 @@ def _alltoall_common(
     # a block object per peer, even where the buffers alias
     sends = list(zip(sendbufs, repeat(send_dt), send_counts))
     recvs = list(zip(recvbufs, repeat(recv_dt), recv_counts))
-    for name, bufs in (("sendbufs", sendbufs), ("recvbufs", recvbufs)):
+    for side, bufs, dt, counts in (
+        ("send", sendbufs, send_dt, send_counts),
+        ("recv", recvbufs, recv_dt, recv_counts),
+    ):
+        plans = dt._plans
         for i, b in enumerate(bufs):
             if type(b) is not Buffer:
-                require_buffers(op, **{f"{name}[{i}]": b})
+                require_buffers(op, **{f"{side}bufs[{i}]": b})
+            c = counts[i]
+            reach = (plans.get(c) or stream_plan(dt, c)).true_ub
+            if reach > b.nbytes:
+                require_fit(
+                    op,
+                    f"{side}_count" if op == "alltoall"
+                    else f"{side}_counts[{i}]",
+                    c, f"{side}bufs[{i}]", b, reach,
+                )
     any_device = False
     for buf, _dt, count in sends + recvs:
         if count and buf.is_device:

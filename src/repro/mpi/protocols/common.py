@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro import bytemove
 from repro.cuda.ipc import IpcMemHandle
 from repro.datatype.convertor import Convertor
 from repro.datatype.ddt import Datatype
@@ -147,7 +148,7 @@ def deposit(payload, seg: Buffer) -> None:
         if wire:
             _san.RACE.record(payload, 0, n, False, label="wire-read")
         _san.RACE.record(seg, 0, n, True, label="wire-deposit")
-    seg.bytes[:] = (payload.bytes if wire else payload)[:n]
+    bytemove.move(seg.bytes, (payload.bytes if wire else payload)[:n])
 
 
 @dataclass

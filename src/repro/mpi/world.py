@@ -18,7 +18,13 @@ import gc
 import time as _time
 from typing import Callable, Optional, Sequence
 
-from repro.datatype.ddt import Datatype, require_ints
+from repro.datatype.canonical import stream_plan
+from repro.datatype.ddt import (
+    Datatype,
+    require_datatypes,
+    require_fit,
+    require_ints,
+)
 from repro.faults.plan import FaultPlan
 from repro.hw.memory import Buffer, require_buffers
 from repro.hw.node import Cluster
@@ -441,9 +447,16 @@ class RankContext:
             require_buffers("isend", buf=buf)
         if comm is not None and type(comm) is not Communicator:
             raise TypeError(f"isend: comm={comm!r} is not a Communicator")
+        # the layout's reach, from the cached stream plan (a dict lookup
+        # but on a count's first use); a non-Datatype fails here, named
+        try:
+            plan = datatype._plans.get(count) or stream_plan(datatype, count)
+        except AttributeError:
+            require_datatypes("isend", datatype=datatype)
+            raise
+        if plan.true_ub > buf.nbytes:
+            require_fit("isend", "count", count, "buf", buf, plan.true_ub)
         comm_id = comm.comm_id if comm is not None else 0
-        # pml.isend commits the datatype first: a non-Datatype fails there,
-        # named, before its size is read
         fut = pml.isend(
             self.world, self.proc, buf, datatype, count, dest, tag, comm_id
         )
@@ -480,6 +493,13 @@ class RankContext:
             require_buffers("irecv", buf=buf)
         if comm is not None and type(comm) is not Communicator:
             raise TypeError(f"irecv: comm={comm!r} is not a Communicator")
+        try:
+            plan = datatype._plans.get(count) or stream_plan(datatype, count)
+        except AttributeError:
+            require_datatypes("irecv", datatype=datatype)
+            raise
+        if plan.true_ub > buf.nbytes:
+            require_fit("irecv", "count", count, "buf", buf, plan.true_ub)
         comm_id = comm.comm_id if comm is not None else 0
         fut = pml.irecv(
             self.world, self.proc, buf, datatype, count, source, tag, comm_id

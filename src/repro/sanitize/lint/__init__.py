@@ -1,6 +1,6 @@
 """Project lint pass — stdlib ``ast`` only, no third-party dependencies.
 
-Three rules, each guarding an invariant the simulation depends on:
+Seven rules, each guarding an invariant the simulation depends on:
 
 ``SAN-L001`` **determinism** (``repro/sim``, ``repro/mpi``,
     ``repro/gpu_engine``): no wall-clock reads (``time.time`` /
@@ -48,6 +48,14 @@ Three rules, each guarding an invariant the simulation depends on:
     be completed-checked — exactly the leak the finalize-time audit
     (``MpiWorld.finalize``) flags at runtime as
     ``verify.request_leak``; this rule catches the shape statically.
+
+``SAN-L007`` **one concurrent module** (everywhere scanned except
+    ``repro/bytemove.py``): no ``threading``, ``_thread``,
+    ``concurrent.futures``, ``multiprocessing`` or ``asyncio`` import.
+    The simulator runs on one thread, and its determinism contract
+    rests on that; the byte mover is the one place a second thread may
+    touch simulated memory, and it returns only when its helper's half
+    of a copy has ended.
 """
 
 from __future__ import annotations
@@ -64,6 +72,12 @@ DETERMINISM_DIRS = ("repro/sim", "repro/mpi", "repro/gpu_engine")
 PROTOCOL_DIR = "repro/mpi/protocols"
 #: path fragment exempt from SAN-L004 (type_id's owning package)
 DATATYPE_DIR = "repro/datatype"
+#: the one file exempt from SAN-L007 (the byte mover and its helper)
+MOVER_FILE = "repro/bytemove.py"
+#: top-level modules that start threads, processes or event loops
+_CONCURRENT_MODULES = frozenset(
+    ("threading", "_thread", "concurrent", "multiprocessing", "asyncio")
+)
 
 #: dotted-call prefixes that read wall clocks or ambient entropy
 _NONDET_CALLS = (
@@ -244,9 +258,28 @@ def lint_file(path: str, source: str, metric_sites: dict) -> list:
     check_determinism = any(frag in norm for frag in DETERMINISM_DIRS)
     check_protocol = PROTOCOL_DIR in norm
     check_type_id = DATATYPE_DIR not in norm
+    check_threads = not norm.endswith(MOVER_FILE)
     out: list = []
 
     for node in ast.walk(tree):
+        if check_threads and isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = [node.module or ""] if not node.level else []
+            for name in names:
+                if name.split(".")[0] in _CONCURRENT_MODULES:
+                    out.append(
+                        LintViolation(
+                            path,
+                            node.lineno,
+                            "SAN-L007",
+                            f"import of {name} outside repro/bytemove.py: "
+                            "the simulator runs on one thread, and the "
+                            "byte mover is the one place a second thread "
+                            "may touch simulated memory",
+                        )
+                    )
         if (
             check_type_id
             and isinstance(node, ast.Attribute)

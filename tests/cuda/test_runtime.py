@@ -50,6 +50,20 @@ class TestMemcpy:
         assert cluster.nodes[0].cpu_memcpy_engine.transfers == 1
 
 
+    def test_h2h_destination_smaller_than_source(self, cluster, ctx):
+        """A 1 KiB host destination for a 4 KiB host source used to be
+        accepted; the run then failed inside the event loop with NumPy's
+        "could not broadcast input array from shape (4096,) into shape
+        (1024,)"."""
+        src = ctx.malloc_host(4096)
+        dst = ctx.malloc_host(1024)
+        with pytest.raises(ValueError, match="memcpyH2H: destination smaller "
+                                             "than source"):
+            ctx.memcpy(dst, src)
+        cluster.sim.run()
+        assert cluster.nodes[0].cpu_memcpy_engine.transfers == 0
+
+
 class TestMemcpy2D:
     def test_strided_gather(self, cluster, ctx, rng):
         # 10 rows of 16 bytes with a 32-byte pitch

@@ -426,6 +426,51 @@ class TestBadArguments:
                 calls[call]()
         assert world.sim.events_processed == 0
 
+    #: call -> the error it raises for four 64-byte elements on 64 bytes
+    PAST_THE_BUFFER = {
+        "bcast": r"bcast: count=4 elements reach byte 256, past the end of "
+                 r"buf \(64 bytes\)",
+        "gather-send": r"gather: send_count=4 .* sendbuf ",
+        "gather-recv": r"gather: recv_count=4 .* recvbufs\[0\] ",
+        "allgather-send": r"allgather: send_count=4 .* sendbuf ",
+        "allgather-recv": r"allgather: recv_count=4 .* recvbufs\[0\] ",
+        "alltoall": r"alltoall: send_count=4 .* sendbufs\[0\] ",
+        "alltoallv-send": r"alltoallv: send_counts\[1\]=4 .* sendbufs\[1\] ",
+        "alltoallv-recv": r"alltoallv: recv_counts\[1\]=4 .* recvbufs\[1\] ",
+    }
+
+    @pytest.mark.parametrize("where", ["device", "host"])
+    @pytest.mark.parametrize("call", list(PAST_THE_BUFFER))
+    def test_count_past_the_buffer(self, call, where):
+        """Four 64-byte elements on a 64-byte buffer used to fail inside
+        the transfer, with ``IndexError`` on device buffers and NumPy's
+        "could not broadcast" on host buffers; a list entry is named by
+        its index."""
+        if where == "device":
+            world, dt, bufs = self.world2()
+        else:
+            world = MpiWorld(Cluster(1, 0), [(0, None)] * 2)
+            dt = contiguous(8, DOUBLE).commit()
+            bufs = [world.context(r).host_alloc(dt.size) for r in range(2)]
+        mpi = world.context(0)
+        calls = {
+            "bcast": lambda: bcast(mpi, bufs[0], dt, 4),
+            "gather-send": lambda: gather(mpi, bufs[0], dt, 4, bufs, dt, 1),
+            "gather-recv": lambda: gather(mpi, bufs[0], dt, 1, bufs, dt, 4),
+            "allgather-send": lambda: allgather(mpi, bufs[0], dt, 4, bufs, dt, 1),
+            "allgather-recv": lambda: allgather(mpi, bufs[0], dt, 1, bufs, dt, 4),
+            "alltoall": lambda: alltoall(mpi, bufs, dt, 4, bufs, dt, 1),
+            "alltoallv-send": lambda: alltoallv(
+                mpi, bufs, dt, [1, 4], bufs, dt, [1, 1]
+            ),
+            "alltoallv-recv": lambda: alltoallv(
+                mpi, bufs, dt, [1, 1], bufs, dt, [1, 4]
+            ),
+        }
+        with pytest.raises(ValueError, match=self.PAST_THE_BUFFER[call]):
+            calls[call]()
+        assert world.sim.events_processed == 0
+
     def test_numpy_integers_accepted_floats_rejected(self):
         """NumPy integer roots and counts run; a whole float does not
         (``bcast(count=2.0)`` used to fail inside NumPy)."""

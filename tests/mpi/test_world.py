@@ -13,7 +13,7 @@ import pytest
 
 from repro.cuda.uma import is_mapped_host
 from repro.datatype.convertor import Convertor, pack_bytes
-from repro.datatype.ddt import contiguous, vector
+from repro.datatype.ddt import contiguous, resized, vector
 from repro.datatype.primitives import BYTE, DOUBLE
 from repro.faults.plan import FaultSpec, TransferTimeout
 from repro.hw.node import Cluster
@@ -303,6 +303,44 @@ class TestArgumentValidation:
             getattr(mpi, call)(None, contiguous(8, BYTE).commit(), 1, 1)
         assert world.procs[0].matching.posted_count == 0
         assert world.sim.events_processed == 0
+
+    @pytest.mark.parametrize("where", ["device", "host"])
+    @pytest.mark.parametrize("call", ["isend", "irecv"])
+    def test_count_past_the_buffer(self, call, where):
+        """Four 64-byte elements on a 64-byte buffer used to fail inside
+        the transfer: ``IndexError: index 4 is out of bounds for axis 0
+        with size 4`` on device buffers, NumPy's "could not broadcast" on
+        host buffers."""
+        world = MpiWorld(Cluster(1, 2), [(0, 0), (0, 1)])
+        mpi = world.context(0)
+        buf = mpi.device_alloc(64) if where == "device" else mpi.host_alloc(64)
+        want = (f"{call}: count=4 elements reach byte 256, past the end of "
+                "buf (64 bytes)")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            getattr(mpi, call)(buf, contiguous(64, BYTE).commit(), 4, 1)
+        assert world.procs[0].matching.posted_count == 0
+        assert world.sim.events_processed == 0
+
+    def test_count_fits_to_the_last_byte(self):
+        """The reach is the last element's last byte, not count x extent:
+        four doubles 16 bytes apart fit 56 bytes, not 55."""
+        world = make_world("cpu")
+        dt = resized(contiguous(1, DOUBLE), 0, 16).commit()
+        src = world.context(0).host_alloc(56)
+        dst = world.context(1).host_alloc(56)
+        src.write(np.arange(7, dtype=np.float64))
+
+        def rank0(mpi):
+            yield mpi.send(src, dt, 4, dest=1)
+
+        def rank1(mpi):
+            yield mpi.recv(dst, dt, 4, source=0)
+
+        world.run([rank0, rank1])
+        assert np.array_equal(dst.read(np.float64, 7)[::2], [0, 2, 4, 6])
+        with pytest.raises(ValueError, match="reach byte 56, past the end "
+                                             r"of buf \(55 bytes\)"):
+            world.context(0).isend(src[:55], dt, 4, dest=1)
 
     @pytest.mark.parametrize("call", ["isend", "irecv"])
     def test_comm_not_a_communicator(self, call):

@@ -209,6 +209,39 @@ class TestDroppedRequestRule:
         assert not out
 
 
+class TestOneConcurrentModuleRule:
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import threading\n",
+            "import _thread\n",
+            "import concurrent.futures\n",
+            "from concurrent.futures import ThreadPoolExecutor\n",
+            "from concurrent import futures\n",
+            "import multiprocessing as mp\n",
+            "from multiprocessing.pool import Pool\n",
+            "import asyncio\n",
+            "def f():\n    import threading\n",
+        ],
+    )
+    def test_concurrency_import_flagged(self, snippet):
+        for path in (SIM_PATH, PROTO_PATH, OTHER_PATH):
+            out = lint_src(path, snippet)
+            assert [v.code for v in out] == ["SAN-L007"], path
+
+    def test_the_byte_mover_may_start_its_helper(self):
+        source = "import os\nimport queue\nimport threading\n"
+        assert not lint_src("src/repro/bytemove.py", source)
+
+    def test_other_imports_are_legal(self):
+        out = lint_src(
+            OTHER_PATH,
+            "import queue\nimport os\nfrom . import threading\n"
+            "from .asyncio import loop\n",
+        )
+        assert not out
+
+
 class TestMissingPathRule:
     def test_nonexistent_path_is_a_violation(self):
         out = run_lint(["no/such/dir", "ghost.py"])
