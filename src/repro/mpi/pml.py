@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.cuda.ipc import IpcMemHandle
-from repro.datatype.ddt import Datatype, require_datatypes
+from repro.datatype.ddt import Datatype
 from repro.hw.memory import Buffer
 from repro.mpi.bml import btl_for
 from repro.mpi.matching import PostedRecv
@@ -124,13 +124,9 @@ def isend(
     """Post a send; the returned future resolves with the byte count.
 
     Eager sends complete at the RTS's delivery, rendezvous sends after
-    the chosen pipeline's last acknowledgement.
+    the chosen pipeline's last acknowledgement.  ``dt`` is committed:
+    :meth:`RankContext.isend` checked it and built its stream plan.
     """
-    try:
-        dt.commit()
-    except AttributeError:
-        require_datatypes("isend", datatype=dt)
-        raise
     total = dt.size * count
     if total > proc.config.eager_limit:
         return proc.sim.spawn(
@@ -169,13 +165,9 @@ def irecv(
     """Post a receive; the returned future resolves with its :class:`Status`.
 
     An eager arrival unpacks in the chain; a rendezvous RTS hands the
-    rest of the receive to the rendezvous coroutine.
+    rest of the receive to the rendezvous coroutine.  ``dt`` is
+    committed, as in :func:`isend`.
     """
-    try:
-        dt.commit()
-    except AttributeError:
-        require_datatypes("irecv", datatype=dt)
-        raise
     op = _EagerRecv()
     op.world = world
     op.proc = proc

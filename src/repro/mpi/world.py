@@ -448,7 +448,8 @@ class RankContext:
         if comm is not None and type(comm) is not Communicator:
             raise TypeError(f"isend: comm={comm!r} is not a Communicator")
         # the layout's reach, from the cached stream plan (a dict lookup
-        # but on a count's first use); a non-Datatype fails here, named
+        # but on a count's first use, which commits the datatype); a
+        # non-Datatype fails here, named
         try:
             plan = datatype._plans.get(count) or stream_plan(datatype, count)
         except AttributeError:
