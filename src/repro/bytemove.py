@@ -48,7 +48,7 @@ __all__ = ["CPUS", "SPLIT_BYTES", "move", "scatter", "take"]
 
 #: the smallest move that splits.  Below it the hand-off to the helper
 #: costs more than the second core saves when the bytes are hot in
-#: cache: a 512 KiB copy took 12.9 us inline and 19.5 us split
+#: cache: a 512 KiB copy took 15.1 us inline and 31.2 us split
 #: (docs/SIM_PERF.md, "Large byte moves use two cores")
 SPLIT_BYTES = 1 << 20
 
